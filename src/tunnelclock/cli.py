@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 
 import numpy as np
@@ -25,7 +26,6 @@ from .errors import (
     CouplingTooStrongError,
     InvalidParameterError,
     TunnelClockError,
-    UndefinedPhaseError,
 )
 from .potentials import (
     ClockRegion,
@@ -163,23 +163,18 @@ def cmd_times(args: argparse.Namespace) -> int:
         lines.append(
             "E,z1,z2,t_transmitted,t_reflected,t_dwell,trans_prob,refl_prob,flag"
         )
-        try:
-            ct = clock_times(potential, region, args.E, units)
-        except UndefinedPhaseError:
-            row = [args.E, args.z1, args.z2, None, None, None, None, None]
-            flag = 1
-        else:
-            row = [
-                args.E,
-                args.z1,
-                args.z2,
-                ct.transmitted,
-                ct.reflected,
-                ct.dwell,
-                ct.transmission_prob,
-                ct.reflection_prob,
-            ]
-            flag = 1 if (ct.transmitted is None or ct.reflected is None) else 0
+        ct = clock_times(potential, region, args.E, units)
+        row = [
+            args.E,
+            args.z1,
+            args.z2,
+            ct.transmitted,
+            ct.reflected,
+            ct.dwell,
+            ct.transmission_prob,
+            ct.reflection_prob,
+        ]
+        flag = 1 if (ct.transmitted is None or ct.reflected is None) else 0
         lines.append(",".join(_fmt(v) for v in row) + f",{flag}")
     else:
         for name in ("E", "V0", "a", "d"):
@@ -202,6 +197,36 @@ def cmd_times(args: argparse.Namespace) -> int:
 
 
 _AXES = ("d", "a", "E", "V0")
+
+
+def _sweep_rows(
+    axis: str,
+    start: float,
+    stop: float,
+    count: int,
+    fixed: dict[str, float],
+    units: UnitsConfig,
+) -> list[str]:
+    """One double-barrier CSV row per grid point of the swept axis."""
+    rows = []
+    point = dict(fixed)
+    for value in np.linspace(start, stop, count):
+        value = float(value)
+        point[axis] = value
+        try:
+            params = closedform.DoubleBarrierParams(
+                V0=point["V0"], a=point["a"], d=point["d"], E=point["E"], units=units
+            )
+        except InvalidParameterError:
+            # Out-of-regime grid point: keep the row, mark it, move on.
+            row = [value, point["E"], point["V0"], point["a"], point["d"],
+                   None, None, None, None, None]
+            rows.append(",".join(_fmt(v) for v in row) + ",1")
+            continue
+        values, flag = _double_barrier_row(params)
+        row = [value, point["E"], point["V0"], point["a"], point["d"], *values]
+        rows.append(",".join(_fmt(v) for v in row) + f",{flag}")
+    return rows
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -232,23 +257,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         f" count={args.count} {fixed_text}"
     )
     lines.append("swept,E,V0,a,d," + DB_COLUMNS)
-    for value in np.linspace(args.start, args.stop, args.count):
-        value = float(value)
-        point = dict(fixed)
-        point[args.axis] = value
-        try:
-            params = closedform.DoubleBarrierParams(
-                V0=point["V0"], a=point["a"], d=point["d"], E=point["E"], units=units
-            )
-        except InvalidParameterError:
-            # Out-of-regime grid point: keep the row, mark it, move on.
-            row = [value, point["E"], point["V0"], point["a"], point["d"],
-                   None, None, None, None, None]
-            lines.append(",".join(_fmt(v) for v in row) + ",1")
-            continue
-        values, flag = _double_barrier_row(params)
-        row = [value, point["E"], point["V0"], point["a"], point["d"], *values]
-        lines.append(",".join(_fmt(v) for v in row) + f",{flag}")
+    lines.extend(
+        _sweep_rows(args.axis, args.start, args.stop, args.count, fixed, units)
+    )
     _emit(lines, args.out)
     return 0
 
@@ -270,14 +281,10 @@ def cmd_fig1(args: argparse.Namespace) -> int:
         f" d={_fmt(FIG1_D_START)}..{_fmt(FIG1_D_STOP)} count={args.count}",
         "swept,E,V0,a,d," + DB_COLUMNS,
     ]
-    for value in np.linspace(FIG1_D_START, FIG1_D_STOP, args.count):
-        value = float(value)
-        params = closedform.DoubleBarrierParams(
-            V0=FIG1_V0, a=a, d=value, E=FIG1_E, units=units
-        )
-        values, flag = _double_barrier_row(params)
-        row = [value, FIG1_E, FIG1_V0, a, value, *values]
-        lines.append(",".join(_fmt(v) for v in row) + f",{flag}")
+    fixed = {"E": FIG1_E, "V0": FIG1_V0, "a": a}
+    lines.extend(
+        _sweep_rows("d", FIG1_D_START, FIG1_D_STOP, args.count, fixed, units)
+    )
     _emit(lines, args.out)
     return 0
 
@@ -348,6 +355,20 @@ def cmd_check(args: argparse.Namespace) -> int:
     return 0 if passed else 1
 
 
+# argparse takes a token that starts with '-' for an option unless it
+# matches this; its own pattern has no exponent form and would take
+# "-5e-05" for an option.
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser that reads every negative float literal as a value."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
+
 def _add_units_and_out(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--mass", type=float, default=1.0,
                         help="particle mass (default 1, natural units)")
@@ -366,10 +387,10 @@ def _add_double_barrier_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tunnelclock",
         description="Tunneling times for piecewise-constant potentials: "
-        "clock times from phase derivatives, dwell integrals, double-barrier "
+        "clock times from overlap integrals, dwell integrals, double-barrier "
         "closed forms, and a discrete-clock measurement simulation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)

@@ -1,45 +1,41 @@
-"""Clock times from the coupling derivative of scattering phases.
+"""Clock times from overlap integrals of the stationary states.
 
 The time a running clock accumulates while the particle occupies a region
 equals minus hbar times the derivative of the scattered-wave phase with
 respect to the strength of a constant potential shift applied over that
-region, evaluated at zero shift. Transmission and reflection channels give
-two such times; the dwell time comes from the independent density integral
-so the weighted-average identity
+region, evaluated at zero shift. To first order in the shift, the
+amplitudes change by
+
+    dR/dV = -(i m / hbar^2 k) * integral of psi^2,
+    dT/dV = -(i m / hbar^2 k) * integral of psi*chi,
+
+where psi is the state incident from the left and chi the one incident
+from the right (Sokolovski & Baskin, PRA 36, 4604 (1987)). Both integrals
+are exact per-region antiderivatives, so t = -hbar Im(dA/dV / A) needs no
+step size. The dwell time comes from the independent density integral of
+|psi|^2, so the weighted-average identity
 
     t_dwell = |T|^2 t_transmitted + |R|^2 t_reflected
 
 is a genuine cross-check between two computations, never circular.
-
-Derivatives are central differences in the shift strength with phase
-differences mapped to the nearest branch, refined by Richardson
-extrapolation over halved steps.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import scattering
-from .errors import (
-    DerivativeFailureError,
-    InvalidParameterError,
-    ResonanceError,
-    TunnelClockError,
-    UndefinedPhaseError,
-)
+from .errors import TunnelClockError
 from .potentials import (
     NATURAL_UNITS,
     ClockRegion,
     PiecewiseConstantPotential,
     UnitsConfig,
-    perturb,
+    reflected,
 )
 
 __all__ = [
     "PROB_FLOOR",
-    "DerivativeSettings",
     "ClockTimes",
     "ProfilePoint",
     "clock_times",
@@ -48,43 +44,8 @@ __all__ = [
 ]
 
 # Channels with probability below this are reported as undefined instead of
-# differentiating the phase of a vanishing amplitude.
+# taking the phase derivative of a vanishing amplitude.
 PROB_FLOOR = 1e-12
-
-# Wrapped phase differences must stay below this for unambiguous branch
-# selection; the step is shrunk until they do.
-_MAX_PHASE_DIFF = math.pi / 2
-
-
-@dataclass(frozen=True)
-class DerivativeSettings:
-    """Step-size control for the phase derivative.
-
-    base_step None means: 1e-4 times the smallest energy margin, i.e.
-    min(E, min over region heights |E - V_r|), so the probe shift never
-    drags the energy across a band edge. The factor balances roundoff
-    against truncation: phase values carry ~1e-16 of noise, so a step of
-    s puts ~1e-16/s of noise on the derivative, while the extrapolation
-    removes the truncation a larger step costs. 1e-4 keeps the noise
-    below 1e-9 even for margins of a few 1e-3.
-    """
-
-    base_step: float | None = None
-    levels: int = 3
-    rel_target: float = 1e-8
-
-    def __post_init__(self) -> None:
-        if self.base_step is not None:
-            if not (math.isfinite(self.base_step) and self.base_step > 0):
-                raise InvalidParameterError(
-                    f"base_step must be positive and finite, got {self.base_step}"
-                )
-        if self.levels < 1:
-            raise InvalidParameterError(f"levels must be >= 1, got {self.levels}")
-        if not (math.isfinite(self.rel_target) and self.rel_target > 0):
-            raise InvalidParameterError(
-                f"rel_target must be positive and finite, got {self.rel_target}"
-            )
 
 
 @dataclass(frozen=True)
@@ -111,156 +72,40 @@ class ProfilePoint:
     error: TunnelClockError | None = None
 
 
-def _energy_margin(potential: PiecewiseConstantPotential, energy: float) -> float:
-    margin = energy
-    for height in potential.heights:
-        gap = abs(energy - height)
-        if gap < margin:
-            margin = gap
-    return margin
-
-
-def _wrap(angle: float) -> float:
-    # Nearest-branch representative in (-pi, pi].
-    wrapped = math.remainder(angle, math.tau)
-    if wrapped == -math.pi:
-        wrapped = math.pi
-    return wrapped
-
-
-def _phase_derivative(
-    phase_at: "callable",
-    base_step: float,
-    levels: int,
-    rel_target: float,
-) -> float:
-    """Central-difference derivative of a phase with Richardson refinement.
-
-    phase_at(s) must return the phase (any branch) at shift strength s.
-    """
-    step = base_step
-    # Shrink until the coarsest wrapped difference is safely within one
-    # branch; differences at halved steps can only be smaller.
-    for _ in range(60):
-        diff = _wrap(phase_at(step) - phase_at(-step))
-        if abs(diff) < _MAX_PHASE_DIFF:
-            break
-        step /= 2.0
-    else:
-        raise DerivativeFailureError(
-            "could not find a step with an unambiguous phase difference",
-            diagnostics={"base_step": base_step, "final_step": step},
-        )
-
-    steps = [step / 2.0**i for i in range(levels)]
-    table: list[list[float]] = []
-    diagonal: list[float] = []
-    for i, eps in enumerate(steps):
-        if i == 0:
-            row = [diff / (2.0 * eps)]
-        else:
-            row = [_wrap(phase_at(eps) - phase_at(-eps)) / (2.0 * eps)]
-        for j in range(1, i + 1):
-            weight = 4.0**j
-            row.append((weight * row[j - 1] - table[i - 1][j - 1]) / (weight - 1.0))
-        table.append(row)
-        diagonal.append(row[-1])
-        if i >= 1:
-            scale = max(abs(diagonal[-1]), abs(diagonal[-2]), 1e-300)
-            if abs(diagonal[-1] - diagonal[-2]) <= rel_target * scale:
-                return diagonal[-1]
-
-    if len(diagonal) >= 3:
-        last = abs(diagonal[-1] - diagonal[-2])
-        prev = abs(diagonal[-2] - diagonal[-3])
-        scale = max(abs(diagonal[-1]), 1e-300)
-        # Diverging corrections that leave the answer without even two
-        # stable digits mean the expansion in the step is not converging;
-        # smaller growing jitter near the rounding floor is tolerated.
-        if last > prev and last > 1e-2 * scale:
-            raise DerivativeFailureError(
-                "Richardson corrections grow instead of shrinking",
-                diagnostics={
-                    "steps": steps,
-                    "diagonal": diagonal,
-                    "last_diff": last,
-                    "prev_diff": prev,
-                },
-            )
-    return diagonal[-1]
-
-
 def clock_times(
     potential: PiecewiseConstantPotential,
     region: ClockRegion,
     energy: float,
     units: UnitsConfig = NATURAL_UNITS,
-    settings: DerivativeSettings = DerivativeSettings(),
 ) -> ClockTimes:
     """Transmission/reflection clock times and the dwell time over region."""
-    base = scattering.solve(potential, energy, units)
-    trans_prob = abs(base.transmission) ** 2
-    refl_prob = abs(base.reflection) ** 2
-    dwell = scattering.dwell_time(base, region)
-
-    if settings.base_step is None:
-        margin = _energy_margin(potential, energy)
-        base_step = 1e-4 * margin
-    else:
-        base_step = settings.base_step
-
-    solutions: dict[float, scattering.ScatteringSolution] = {}
-
-    def solution_at(shift: float) -> scattering.ScatteringSolution:
-        if shift not in solutions:
-            shifted = perturb(potential, region, shift)
-            solutions[shift] = scattering.solve(shifted, energy, units)
-        return solutions[shift]
-
-    def channel_time(which: str) -> float:
-        def phase_at(shift: float) -> float:
-            sol = solution_at(shift)
-            try:
-                if which == "transmission":
-                    return scattering.transmission_phase(sol)
-                return scattering.reflection_phase(sol)
-            except UndefinedPhaseError as exc:
-                raise ResonanceError(
-                    which,
-                    f"{which} amplitude vanished at shift {shift}; "
-                    "clock time undefined at this energy",
-                ) from exc
-
-        derivative = _phase_derivative(
-            phase_at, base_step, settings.levels, settings.rel_target
-        )
-        return -units.hbar * derivative
-
-    transmitted = channel_time("transmission") if trans_prob >= PROB_FLOOR else None
-    reflected = channel_time("reflection") if refl_prob >= PROB_FLOOR else None
-
+    psi = scattering.solve(potential, energy, units)
+    mirror = scattering.solve(reflected(potential), energy, units)
+    trans_prob = abs(psi.transmission) ** 2
+    refl_prob = abs(psi.reflection) ** 2
+    psi2, psichi = scattering.overlap_integrals(psi, mirror, region)
+    # -hbar Im(dA/dV / A) with dA/dV = -(i m / hbar^2 k) * integral.
+    inverse_speed = units.mass / (units.hbar * psi.wavenumber)
+    t_transmitted = t_reflected = None
+    if trans_prob >= PROB_FLOOR:
+        t_transmitted = inverse_speed * (psichi / psi.transmission).real
+    if refl_prob >= PROB_FLOOR:
+        t_reflected = inverse_speed * (psi2 / psi.reflection).real
     return ClockTimes(
-        transmitted=transmitted,
-        reflected=reflected,
-        dwell=dwell,
+        transmitted=t_transmitted,
+        reflected=t_reflected,
+        dwell=scattering.dwell_time(psi, region),
         transmission_prob=trans_prob,
         reflection_prob=refl_prob,
     )
 
 
-def dwell_decomposition_check(
-    potential: PiecewiseConstantPotential,
-    region: ClockRegion,
-    energy: float,
-    units: UnitsConfig = NATURAL_UNITS,
-    settings: DerivativeSettings = DerivativeSettings(),
-) -> float:
-    """Relative residual of the probability-weighted decomposition.
+def _decomposition_residual(result: ClockTimes) -> float:
+    """|t_dwell - (P_T t_T + P_R t_R)| / t_dwell.
 
     Channels below PROB_FLOOR contribute at most prob * time ~ 1e-12 * t
     and are dropped along with their undefined times.
     """
-    result = clock_times(potential, region, energy, units, settings)
     weighted = 0.0
     if result.transmitted is not None:
         weighted += result.transmission_prob * result.transmitted
@@ -269,12 +114,21 @@ def dwell_decomposition_check(
     return abs(result.dwell - weighted) / result.dwell
 
 
+def dwell_decomposition_check(
+    potential: PiecewiseConstantPotential,
+    region: ClockRegion,
+    energy: float,
+    units: UnitsConfig = NATURAL_UNITS,
+) -> float:
+    """Relative residual of the probability-weighted decomposition."""
+    return _decomposition_residual(clock_times(potential, region, energy, units))
+
+
 def time_vs_energy_profile(
     potential: PiecewiseConstantPotential,
     region: ClockRegion,
     energies: "list[float]",
     units: UnitsConfig = NATURAL_UNITS,
-    settings: DerivativeSettings = DerivativeSettings(),
 ) -> list[ProfilePoint]:
     """clock_times over an energy grid; per-point failures are recorded,
     not raised, so one resonant or degenerate energy cannot kill a sweep.
@@ -282,7 +136,7 @@ def time_vs_energy_profile(
     points: list[ProfilePoint] = []
     for energy in sorted(energies):
         try:
-            times = clock_times(potential, region, energy, units, settings)
+            times = clock_times(potential, region, energy, units)
         except TunnelClockError as exc:
             points.append(ProfilePoint(energy=energy, error=exc))
         else:

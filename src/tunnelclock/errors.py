@@ -30,22 +30,6 @@ class UndefinedPhaseError(TunnelClockError):
     """Requested the phase of an amplitude that is exactly zero."""
 
 
-class ResonanceError(UndefinedPhaseError):
-    """A scattering channel amplitude vanished; its clock time is undefined."""
-
-    def __init__(self, channel, message=None):
-        self.channel = channel
-        super().__init__(message or f"{channel} amplitude vanishes; phase undefined")
-
-
-class DerivativeFailureError(TunnelClockError):
-    """Step-halving phase-derivative estimates did not settle."""
-
-    def __init__(self, message, diagnostics=None):
-        super().__init__(message)
-        self.diagnostics = dict(diagnostics or {})
-
-
 class UndefinedReadingError(TunnelClockError):
     """Pointer density has no usable circular mean (uniform distribution)."""
 

@@ -183,26 +183,19 @@ def time_expectation(rotor: ClockRotor, state: ClockState) -> float:
 def read_pointer(rotor: ClockRotor, state: ClockState) -> PointerReading:
     """Circular mean of the angular density, reported as a time in [0, N*tau).
 
-    The density |sum_m c_m e^{i*m*theta}|^2 / (2*pi) is sampled on a
-    uniform grid of 16*N angles; a periodic uniform grid integrates the
-    trigonometric polynomial of degree 2j+1 involved here exactly, so the
-    grid introduces no quadrature error beyond rounding. The spread is the
-    circular standard deviation sqrt(-2 ln |first moment|) divided by
-    omega.
+    The density |sum_m c_m e^{i*m*theta}|^2 / (2*pi) has the exact first
+    trigonometric moment sum_m c_m conj(c_{m+1}), so no angular grid is
+    needed. The spread is the circular standard deviation
+    sqrt(-2 ln |first moment|) divided by omega.
     """
-    n_grid = 16 * rotor.N
-    theta = np.linspace(0.0, math.tau, n_grid, endpoint=False)
-    values = np.exp(1j * np.outer(theta, rotor.levels)) @ state.amplitudes
-    density = np.abs(values) ** 2
-    total = float(np.sum(density))
-    cos_avg = float(np.dot(density, np.cos(theta))) / total
-    sin_avg = float(np.dot(density, np.sin(theta))) / total
-    resultant = math.hypot(cos_avg, sin_avg)
+    amps = state.amplitudes
+    moment = np.vdot(amps[1:], amps[:-1]) / np.vdot(amps, amps).real
+    resultant = abs(moment)
     if resultant < 1e-12:
         raise UndefinedReadingError(
             "angular density is uniform; pointer mean undefined"
         )
-    angle = math.atan2(sin_avg, cos_avg) % math.tau
+    angle = math.atan2(moment.imag, moment.real) % math.tau
     # A mean a half-ulp below zero must read as zero, not as a full turn.
     if angle == math.tau:
         angle = 0.0

@@ -42,6 +42,7 @@ __all__ = [
     "wavefunction_at",
     "wavefunction_derivative_at",
     "dwell_time",
+    "overlap_integrals",
     "phases",
     "transmission_phase",
     "reflection_phase",
@@ -243,6 +244,73 @@ def _density_integral(rw: RegionWave, u1: float, u2: float) -> float:
         term_b = (_abs2_exp(b, 2.0 * q * u2) - _abs2_exp(b, 2.0 * q * u1)) / (2.0 * q)
     cross = 2.0 * (a * b.conjugate()).real * du
     return term_a + term_b + cross
+
+
+def _exp_integral(log_coef: complex, rate: complex, u1: float, u2: float) -> complex:
+    """Integral of exp(log_coef + rate * u) over [u1, u2].
+
+    rate is zero, real or imaginary. The half-width form
+    e^{mid} 2 sinh(half) / rate keeps small widths and oscillating terms
+    free of cancellation; a large real half-width factors the larger
+    endpoint into the exponent, so nothing overflows on the way.
+    """
+    if rate == 0:
+        return cmath.exp(log_coef) * (u2 - u1)
+    half = 0.5 * rate * (u2 - u1)
+    mid = log_coef + 0.5 * rate * (u1 + u2)
+    if abs(half.real) < 1.0:
+        return cmath.exp(mid) * 2.0 * cmath.sinh(half) / rate
+    sign = 1.0 if half.real > 0 else -1.0
+    far_end = cmath.exp(mid + sign * half)
+    return sign * far_end * (1.0 - cmath.exp(-2.0 * sign * half)) / rate
+
+
+def _product_integral(w1: RegionWave, w2: RegionWave, z1: float, z2: float) -> complex:
+    """Integral of w1(z) * w2(z) (no conjugate) over [z1, z2] in one region.
+
+    Both expansions share kappa; each keeps its own anchor. Every product
+    of two exponentials is integrated from the logs of its coefficients,
+    so a tiny coefficient against a huge exponential neither underflows
+    nor overflows.
+    """
+    ik = 1j * w1.kappa
+    shift = ik * (w1.anchor - w2.anchor)
+    u1, u2 = z1 - w1.anchor, z2 - w1.anchor
+    total = 0j
+    for c1, s1 in ((w1.a, 1), (w1.b, -1)):
+        for c2, s2 in ((w2.a, 1), (w2.b, -1)):
+            if c1 != 0 and c2 != 0:
+                log_coef = cmath.log(c1) + cmath.log(c2) + s2 * shift
+                total += _exp_integral(log_coef, (s1 + s2) * ik, u1, u2)
+    return total
+
+
+def _mirrored(rw: RegionWave) -> RegionWave:
+    """The expansion of z -> rw(-z)."""
+    return RegionWave(-rw.hi, -rw.lo, -rw.anchor, rw.kappa, rw.b, rw.a)
+
+
+def overlap_integrals(
+    solution: ScatteringSolution,
+    mirrored: ScatteringSolution,
+    region: ClockRegion,
+) -> tuple[complex, complex]:
+    """Integrals of psi^2 and psi*chi over the region (no conjugates).
+
+    psi is the left-incident solution; mirrored must solve the reflected
+    potential at the same energy, so chi(z) = mirrored psi(-z) is the unit
+    wave incident from the right. Region r of psi is region n+1-r of the
+    mirrored solution, so the two expansions pair up one to one.
+    """
+    psi2 = psichi = 0j
+    for rw, mw in zip(solution.regions, reversed(mirrored.regions)):
+        lo = max(rw.lo, region.z1)
+        hi = min(rw.hi, region.z2)
+        if hi <= lo:
+            continue
+        psi2 += _product_integral(rw, rw, lo, hi)
+        psichi += _product_integral(rw, _mirrored(mw), lo, hi)
+    return psi2, psichi
 
 
 def dwell_time(solution: ScatteringSolution, region: ClockRegion) -> float:

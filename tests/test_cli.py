@@ -1,11 +1,14 @@
 """CLI behavior: CSV shape, determinism, NA/flag conventions, exit codes."""
 
+import hashlib
 import math
+import os
 import subprocess
 import sys
 
 import pytest
 
+import tunnelclock
 from tunnelclock.cli import load_potential_file, main
 from tunnelclock.closedform import DoubleBarrierParams, times
 from tunnelclock.errors import InvalidParameterError
@@ -303,6 +306,69 @@ def test_sweep_out_of_regime_rows_kept(tmp_path):
         assert set(row[5:-1]) == {"NA"}
 
 
+# SHA-256 of the full output of commands whose CSV must stay
+# byte-identical across refactors of the row loop.
+GOLDEN_SHA256 = [
+    ("fig1 --panel a",
+     "d83b576088a0d5249698507fdba360492abb9c95c88208072babbcf5b2fa2125"),
+    ("fig1 --panel b",
+     "e631d1c2fe2dd6eb5f218ee1e4f91a7e81bf5aa20b5cdeb7ea01abed52be2822"),
+    ("sweep --axis d --start 1 --stop 100 --count 50 --E 0.01 --V0 0.018 --a 10",
+     "1fe20339ff938f5a0c4368ea924cba6b190ef3253acebae2801a34130644d9aa"),
+    ("sweep --axis a --start 2 --stop 40 --count 30 --E 0.01 --V0 0.018 --d 10",
+     "7d87469162d8a9f2f28abf9b39f2805f43f057e35cc29b4c1fd9de63a2207564"),
+    ("sweep --axis E --start 0.001 --stop 0.025 --count 25 --V0 0.018 --a 10 --d 10",
+     "2c4b807acd62d64ffc88e73770db4b3059d8e76930994901c1d95d838aa7c2af"),
+    ("sweep --axis V0 --start 0.005 --stop 0.05 --count 40 --E 0.01 --a 10 --d 10"
+     " --mass 2 --hbar 0.5",
+     "7a2ad225e17378d2571c1b1762aabd5bcef15a39bda6ba7a18347c04244bc78e"),
+    ("times --E 0.01 --V0 0.018 --a 10 --d 10",
+     "e61c1b4325e653c5a548bc7ec0eafa7a3b72b33e4dd3b7f8cfd8e763bc6ab9be"),
+    # "-5e-3" reads as the same float as "-0.005"
+    ("sweep --axis E --start -5e-3 --stop 0.025 --count 31 --V0 0.018 --a 10 --d 10",
+     "a4e57a32ab1bc37682bd6a5008614786e4dffe526d96d63658ce7cb20d5d01f3"),
+]
+
+
+@pytest.mark.parametrize("command, digest", GOLDEN_SHA256)
+def test_golden_output(tmp_path, command, digest):
+    code, text = run_to_file(tmp_path, command.split())
+    assert code == 0
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+
+def test_negative_exponent_float_parses(tmp_path):
+    code, text = run_to_file(
+        tmp_path,
+        ["sweep", "--axis", "E", "--start", "-5e-05", "--stop", "0.01",
+         "--count", "3", "--V0", "0.018", "--a", "10", "--d", "10"],
+    )
+    assert code == 0
+    _, rows = parse_csv(text)
+    assert as_float(rows[0][0]) == -5e-05
+    assert set(rows[0][5:-1]) == {"NA"} and rows[0][-1] == "1"
+    assert rows[1][-1] == "0"
+
+
+def test_negative_capital_exponent_parses(tmp_path):
+    code, text = run_to_file(
+        tmp_path,
+        ["sweep", "--axis", "d", "--start", "-1E+3", "--stop", "10",
+         "--count", "2", "--E", "0.01", "--V0", "0.018", "--a", "10"],
+    )
+    assert code == 0
+    _, rows = parse_csv(text)
+    assert as_float(rows[0][0]) == -1000.0
+
+
+def test_option_like_value_still_rejected(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--axis", "E", "--start", "-x", "--stop", "0.01",
+              "--count", "3", "--V0", "0.018", "--a", "10", "--d", "10"])
+    assert exc.value.code == 2
+    assert "expected one argument" in capsys.readouterr().err
+
+
 def test_fig1_rows_satisfy_sum_identity(tmp_path):
     code, text = run_to_file(tmp_path, ["fig1", "--panel", "a", "--count", "40"])
     assert code == 0
@@ -469,6 +535,9 @@ def test_units_flags_recorded(tmp_path):
 
 
 def test_module_entry_point(tmp_path):
+    # the child imports the same package as this process
+    package_root = os.path.dirname(os.path.dirname(tunnelclock.__file__))
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
         [
             sys.executable,
@@ -486,6 +555,7 @@ def test_module_entry_point(tmp_path):
         ],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=path),
     )
     assert result.returncode == 0
     assert "t_whole" in result.stdout

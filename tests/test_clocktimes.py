@@ -1,14 +1,16 @@
-"""Coupling-derivative clock times: channel times, dwell decomposition,
+"""Clock times from overlap integrals: channel times, dwell decomposition,
 and the energy profile helper."""
 
+import cmath
 import math
+import random
 
 import pytest
 
+from tunnelclock import scattering
 from tunnelclock.clocktimes import (
     PROB_FLOOR,
     ClockTimes,
-    DerivativeSettings,
     ProfilePoint,
     clock_times,
     dwell_decomposition_check,
@@ -17,17 +19,18 @@ from tunnelclock.clocktimes import (
 from tunnelclock.closedform import DoubleBarrierParams, times
 from tunnelclock.errors import (
     DegenerateEnergyError,
-    DerivativeFailureError,
     InvalidParameterError,
-    ResonanceError,
     TunnelClockError,
-    UndefinedPhaseError,
 )
 from tunnelclock.potentials import (
+    NATURAL_UNITS,
     ClockRegion,
     PiecewiseConstantPotential,
+    UnitsConfig,
     double_barrier,
     free_potential,
+    perturb,
+    reflected,
 )
 
 BARRIER = double_barrier(0.018, 10.0, 10.0)
@@ -120,35 +123,6 @@ def test_opaque_transmitted_channel_undefined():
     )
 
 
-def test_explicit_base_step_matches_default():
-    default = clock_times(BARRIER, WHOLE, 0.01)
-    custom = clock_times(
-        BARRIER, WHOLE, 0.01, settings=DerivativeSettings(base_step=1e-7)
-    )
-    assert custom.transmitted == pytest.approx(default.transmitted, rel=1e-8)
-
-
-def test_single_level_derivative_still_accurate():
-    result = clock_times(
-        BARRIER, WHOLE, 0.01, settings=DerivativeSettings(levels=1)
-    )
-    reference = times(DoubleBarrierParams(V0=0.018, a=10.0, d=10.0, E=0.01))
-    assert result.transmitted == pytest.approx(reference.t_whole, rel=1e-6)
-
-
-def test_settings_validation():
-    with pytest.raises(InvalidParameterError):
-        DerivativeSettings(base_step=0.0)
-    with pytest.raises(InvalidParameterError):
-        DerivativeSettings(base_step=-1e-6)
-    with pytest.raises(InvalidParameterError):
-        DerivativeSettings(levels=0)
-    with pytest.raises(InvalidParameterError):
-        DerivativeSettings(rel_target=0.0)
-    with pytest.raises(InvalidParameterError):
-        DerivativeSettings(base_step=math.nan)
-
-
 def test_profile_sorted_and_error_tolerant():
     energies = [0.012, 0.018, 0.01, 0.005]
     points = time_vs_energy_profile(BARRIER, WHOLE, energies)
@@ -173,12 +147,7 @@ def test_profile_single_point():
 
 
 def test_error_hierarchy():
-    assert issubclass(ResonanceError, UndefinedPhaseError)
     assert issubclass(DegenerateEnergyError, InvalidParameterError)
-    err = DerivativeFailureError("msg", diagnostics={"steps": [1.0]})
-    assert err.diagnostics == {"steps": [1.0]}
-    res = ResonanceError("transmission")
-    assert res.channel == "transmission"
 
 
 def test_dwell_positive_whole_line_identity():
@@ -193,3 +162,127 @@ def test_dwell_positive_whole_line_identity():
         inner.dwell + left_piece.dwell + right_piece.dwell, rel=1e-12
     )
     assert left_piece.dwell > 10.0 / k  # incident plus reflected density
+
+
+def finite_difference_times(potential, region, energy, units=NATURAL_UNITS, step=1e-7):
+    """Oracle: -hbar times central phase differences of perturbed solves,
+    fixed step, nearest branch (the phase of the amplitude ratio)."""
+    plus = scattering.solve(perturb(potential, region, step), energy, units)
+    minus = scattering.solve(perturb(potential, region, -step), energy, units)
+    scale = -units.hbar / (2.0 * step)
+    return (
+        scale * cmath.phase(plus.transmission / minus.transmission),
+        scale * cmath.phase(plus.reflection / minus.reflection),
+    )
+
+
+@pytest.mark.parametrize(
+    "potential, region, energy, units",
+    [
+        (ASYM, ClockRegion(2.0, 15.0), 0.009, NATURAL_UNITS),
+        (ASYM, ClockRegion(-3.0, 9.5), 0.016, NATURAL_UNITS),
+        (BARRIER, WHOLE, 0.01, NATURAL_UNITS),
+        (BARRIER, ClockRegion(10.0, 20.0), 0.01, NATURAL_UNITS),
+        (ASYM, ClockRegion(2.0, 15.0), 0.009, UnitsConfig(mass=2.0, hbar=0.5)),
+    ],
+)
+def test_matches_finite_difference_oracle(potential, region, energy, units):
+    result = clock_times(potential, region, energy, units)
+    t_fd, r_fd = finite_difference_times(potential, region, energy, units)
+    assert result.transmitted == pytest.approx(t_fd, rel=1e-6)
+    assert result.reflected == pytest.approx(r_fd, rel=1e-6)
+
+
+def test_two_solves_per_call(monkeypatch):
+    calls = []
+    original = scattering.solve
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(scattering, "solve", counting)
+    clock_times(ASYM, ClockRegion(2.0, 15.0), 0.009)
+    assert calls == [ASYM, reflected(ASYM)]
+
+
+# Dwell time of BARRIER over WHOLE at the barrier top, from a 50-digit
+# transfer matrix.
+BAND_EDGE_DWELL = 95.4266608852
+
+
+@pytest.mark.parametrize("offset", [-1e-6, 1e-6])
+def test_near_band_edge_channels_equal_dwell(offset):
+    # symmetric potential, whole region: both channel times are the dwell time
+    result = clock_times(BARRIER, WHOLE, 0.018 * (1.0 + offset))
+    assert result.transmitted == pytest.approx(result.dwell, rel=1e-8)
+    assert result.reflected == pytest.approx(result.dwell, rel=1e-8)
+
+
+@pytest.mark.parametrize("offset", [-1e-12, 1e-12])
+def test_at_band_edge_times_stay_finite(offset):
+    # The remaining error is the small-kappa rounding of the solve itself.
+    result = clock_times(BARRIER, WHOLE, 0.018 * (1.0 + offset))
+    assert result.transmitted == pytest.approx(BAND_EDGE_DWELL, rel=1e-3)
+    assert result.reflected == pytest.approx(BAND_EDGE_DWELL, rel=1e-3)
+
+
+def test_very_narrow_region():
+    region = ClockRegion(12.0, 12.0 + 1e-9)
+    result = clock_times(BARRIER, region, 0.01)
+    assert 0.0 < result.dwell < 1e-7
+    assert dwell_decomposition_check(BARRIER, region, 0.01) <= 1e-9
+
+
+def random_stack(seed, min_regions, max_regions):
+    """Barriers, free gaps and wells with widths in [0.5, 8], a tunnelling
+    energy and a clock region that may stick out past the support."""
+    rng = random.Random(seed)
+    heights = []
+    for _ in range(rng.randint(min_regions, max_regions)):
+        u = rng.random()
+        if u < 0.6:
+            heights.append(rng.uniform(0.004, 0.03))
+        elif u < 0.8:
+            heights.append(0.0)
+        else:
+            heights.append(-rng.uniform(0.002, 0.02))
+    breakpoints = [0.0]
+    for _ in heights:
+        breakpoints.append(breakpoints[-1] + rng.uniform(0.5, 8.0))
+    potential = PiecewiseConstantPotential(tuple(breakpoints), tuple(heights))
+    energy = rng.uniform(0.25, 0.85) * max(heights)
+    z1 = rng.uniform(-4.0, breakpoints[-1] - 0.5)
+    z2 = rng.uniform(z1 + 0.5, breakpoints[-1] + 4.0)
+    return potential, ClockRegion(z1, z2), energy
+
+
+def test_deep_stack_decomposition():
+    # 234 regions; a phase-derivative route fails to converge here
+    potential, region, energy = random_stack(1, 200, 400)
+    assert len(potential.heights) >= 200
+    assert dwell_decomposition_check(potential, region, energy) <= 1e-9
+
+
+def test_weakly_transmitting_stack_decomposition():
+    # 59 regions, P_T ~ 8.5e-10: the transmitted channel still counts
+    potential, region, energy = random_stack(5, 20, 60)
+    result = clock_times(potential, region, energy)
+    assert 20 <= len(potential.heights) <= 60
+    assert 1e-10 < result.transmission_prob < 1e-3
+    assert dwell_decomposition_check(potential, region, energy) <= 1e-9
+
+
+def test_full_identity_in_deep_shadow():
+    # The clock region sits near the exit of a 260-region stack, where
+    # |psi| is comparable to |T|: P_T t_T is a tenth of the dwell time
+    # although P_T ~ 1e-46. With both channels kept the identity is exact.
+    potential, region, energy = random_stack(4, 200, 400)
+    psi = scattering.solve(potential, energy)
+    mirror = scattering.solve(reflected(potential), energy)
+    psi2, psichi = scattering.overlap_integrals(psi, mirror, region)
+    weighted = (
+        psi2 * psi.reflection.conjugate() + psichi * psi.transmission.conjugate()
+    ).real / psi.wavenumber
+    dwell = scattering.dwell_time(psi, region)
+    assert weighted == pytest.approx(dwell, rel=1e-12)

@@ -138,6 +138,32 @@ def test_read_pointer_uniform_density_undefined():
         read_pointer(ROTOR, ClockState(one_hot))
 
 
+def grid_reading(rotor, state):
+    """Brute force: circular mean of the angular density sampled on 16N
+    uniform angles (exact for this trigonometric polynomial)."""
+    theta = np.linspace(0.0, math.tau, 16 * rotor.N, endpoint=False)
+    values = np.exp(1j * np.outer(theta, rotor.levels)) @ state.amplitudes
+    density = np.abs(values) ** 2
+    moment = np.dot(density, np.exp(1j * theta)) / np.sum(density)
+    angle = math.atan2(moment.imag, moment.real) % math.tau
+    return angle, math.sqrt(-2.0 * math.log(abs(moment)))
+
+
+@pytest.mark.parametrize("n", [21, 201])
+def test_read_pointer_matches_angular_grid(n):
+    rotor = ClockRotor(n, 3.0)
+    rng = np.random.default_rng(n)
+    for noise_level in (0.03, 0.3, 3.0, 30.0):
+        # a peaked state rotated by a random time, plus random noise
+        peaked = evolve(rotor, basis_state(rotor, 0), rng.uniform(0, n * 3.0))
+        noise = rng.normal(size=n) + 1j * rng.normal(size=n)
+        state = ClockState.from_unnormalized(peaked.amplitudes + noise_level * noise)
+        reading = read_pointer(rotor, state)
+        angle, spread = grid_reading(rotor, state)
+        assert reading.t_read * rotor.omega == pytest.approx(angle, abs=1e-12)
+        assert reading.spread * rotor.omega == pytest.approx(spread, abs=1e-12)
+
+
 def test_spread_shrinks_with_dimension_at_fixed_omega():
     # same omega: (N=3, tau=7) and (N=21, tau=1); more levels sharpen the
     # angular peak
