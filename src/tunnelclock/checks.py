@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .clocktimes import _decomposition_residual, clock_times
+from .clocktimes import clock_times
 from .potentials import (
     NATURAL_UNITS,
     ClockRegion,
@@ -115,9 +115,12 @@ def decomposition_suite(
     for _ in range(count):
         inst = random_scattering_instance(rng)
         ct = clock_times(inst.potential, inst.region, inst.energy, units)
-        residual = _decomposition_residual(ct)
         defect = abs(ct.transmission_prob + ct.reflection_prob - 1.0)
         results.append(
-            InstanceResult(instance=inst, residual=residual, unitarity_defect=defect)
+            InstanceResult(
+                instance=inst,
+                residual=ct.decomposition_residual,
+                unitarity_defect=defect,
+            )
         )
     return SuiteResult(results=results)

@@ -54,6 +54,10 @@ class ClockTimes:
 
     transmitted/reflected are None when the channel probability is below
     PROB_FLOOR (the phase of a vanishing amplitude carries no time).
+    decomposition_residual is |t_dwell - (P_T t_T + P_R t_R)| / t_dwell;
+    a channel below the floor still enters through its weighted term
+    P t = (m / hbar k) Re(integral * conj(amplitude)), which stays
+    well defined however small the amplitude.
     """
 
     transmitted: float | None
@@ -61,6 +65,7 @@ class ClockTimes:
     dwell: float
     transmission_prob: float
     reflection_prob: float
+    decomposition_residual: float
 
 
 @dataclass(frozen=True)
@@ -87,31 +92,28 @@ def clock_times(
     # -hbar Im(dA/dV / A) with dA/dV = -(i m / hbar^2 k) * integral.
     inverse_speed = units.mass / (units.hbar * psi.wavenumber)
     t_transmitted = t_reflected = None
+    weighted = 0.0
     if trans_prob >= PROB_FLOOR:
         t_transmitted = inverse_speed * (psichi / psi.transmission).real
+        weighted += trans_prob * t_transmitted
+    else:
+        weighted += inverse_speed * (psichi * psi.transmission.conjugate()).real
     if refl_prob >= PROB_FLOOR:
         t_reflected = inverse_speed * (psi2 / psi.reflection).real
+        weighted += refl_prob * t_reflected
+    else:
+        weighted += inverse_speed * (psi2 * psi.reflection.conjugate()).real
+    dwell = scattering.dwell_time(psi, region)
+    # A region in total shadow has zero dwell time; its residual is absolute.
+    residual = abs(dwell - weighted) / dwell if dwell else abs(weighted)
     return ClockTimes(
         transmitted=t_transmitted,
         reflected=t_reflected,
-        dwell=scattering.dwell_time(psi, region),
+        dwell=dwell,
         transmission_prob=trans_prob,
         reflection_prob=refl_prob,
+        decomposition_residual=residual,
     )
-
-
-def _decomposition_residual(result: ClockTimes) -> float:
-    """|t_dwell - (P_T t_T + P_R t_R)| / t_dwell.
-
-    Channels below PROB_FLOOR contribute at most prob * time ~ 1e-12 * t
-    and are dropped along with their undefined times.
-    """
-    weighted = 0.0
-    if result.transmitted is not None:
-        weighted += result.transmission_prob * result.transmitted
-    if result.reflected is not None:
-        weighted += result.reflection_prob * result.reflected
-    return abs(result.dwell - weighted) / result.dwell
 
 
 def dwell_decomposition_check(
@@ -121,7 +123,7 @@ def dwell_decomposition_check(
     units: UnitsConfig = NATURAL_UNITS,
 ) -> float:
     """Relative residual of the probability-weighted decomposition."""
-    return _decomposition_residual(clock_times(potential, region, energy, units))
+    return clock_times(potential, region, energy, units).decomposition_residual
 
 
 def time_vs_energy_profile(

@@ -66,6 +66,11 @@ class ClockRegion:
         return self.z2 - self.z1
 
 
+def _check_finite(values) -> None:
+    if not all(map(math.isfinite, values)):
+        raise InvalidParameterError("breakpoints and heights must be finite")
+
+
 @dataclass(frozen=True)
 class PiecewiseConstantPotential:
     """Constant heights between strictly increasing breakpoints, zero outside.
@@ -85,8 +90,7 @@ class PiecewiseConstantPotential:
         object.__setattr__(self, "heights", hs)
         if len(bp) == 0:
             raise InvalidParameterError("at least one breakpoint is required")
-        if not all(map(math.isfinite, bp + hs)):
-            raise InvalidParameterError("breakpoints and heights must be finite")
+        _check_finite(bp + hs)
         if any(a >= b for a, b in zip(bp, bp[1:])):
             raise InvalidParameterError("breakpoints must be strictly increasing")
         if len(hs) != len(bp) - 1:
@@ -128,6 +132,23 @@ def free_potential(origin: float = 0.0) -> PiecewiseConstantPotential:
     return PiecewiseConstantPotential((origin,), ())
 
 
+def _clock_cuts(
+    potential: PiecewiseConstantPotential, region: ClockRegion
+) -> tuple[tuple[float, ...], list[float], list[bool]]:
+    """Breakpoints of perturb's result, the unshifted height of each of its
+    intervals, and whether the interval lies inside the clock region.
+
+    The cut list contains both region endpoints, so every interval lies
+    entirely inside or entirely outside the region.
+    """
+    cuts = tuple(sorted(set(potential.breakpoints) | {region.z1, region.z2}))
+    bases, inside = [], []
+    for lo, hi in zip(cuts, cuts[1:]):
+        bases.append(evaluate(potential, lo))
+        inside.append(region.z1 <= lo and hi <= region.z2)
+    return cuts, bases, inside
+
+
 def perturb(
     potential: PiecewiseConstantPotential,
     region: ClockRegion,
@@ -143,15 +164,9 @@ def perturb(
     """
     if not math.isfinite(strength):
         raise InvalidParameterError("perturbation strength must be finite")
-    cuts = sorted(set(potential.breakpoints) | {region.z1, region.z2})
-    heights = []
-    for lo, hi in zip(cuts, cuts[1:]):
-        # Each new interval lies entirely inside or outside the clock region
-        # because the cut list contains both region endpoints.
-        base = evaluate(potential, lo)
-        inside = region.z1 <= lo and hi <= region.z2
-        heights.append(base + strength if inside else base)
-    return PiecewiseConstantPotential(tuple(cuts), tuple(heights))
+    cuts, bases, inside = _clock_cuts(potential, region)
+    heights = tuple(base + strength if hit else base for base, hit in zip(bases, inside))
+    return PiecewiseConstantPotential(cuts, heights)
 
 
 def reflected(potential: PiecewiseConstantPotential) -> PiecewiseConstantPotential:

@@ -11,7 +11,14 @@ Coupling to a scattering problem is diagonal in m: while the particle is
 inside the clock region, level m sees the potential shifted by m*hbar*omega.
 The measurement simulation scatters each level off its own shifted
 potential and reads the transit time off the rotated pointer of the
-transmitted (and reflected) conditional clock states.
+transmitted (and reflected) conditional clock states. The levels share the
+cut list of the shifted potentials; per level only the heights inside the
+region change, and only T and R are computed, by the backward sweep that
+scattering.solve runs, with every check solve makes.
+
+Pointer readings take the exact first trigonometric moment of the angular
+density and the time expectation one FFT of the amplitudes, so neither
+builds an angular grid or an N x N matrix.
 """
 
 from __future__ import annotations
@@ -35,7 +42,7 @@ from .potentials import (
     ClockRegion,
     PiecewiseConstantPotential,
     UnitsConfig,
-    perturb,
+    _clock_cuts,
 )
 
 __all__ = [
@@ -172,11 +179,10 @@ def time_expectation(rotor: ClockRotor, state: ClockState) -> float:
     property of the operator, left intact deliberately.
     """
     ks = np.arange(rotor.N)
-    # Overlap matrix <v_k|state>: rows k, columns m, phase +2*pi*i*m*k/N.
-    reduced = np.mod(np.outer(ks, rotor.levels), rotor.N)
-    overlaps = np.exp(2j * math.pi * reduced / rotor.N) @ state.amplitudes
-    overlaps /= math.sqrt(rotor.N)
-    weights = np.abs(overlaps) ** 2
+    # <v_k|state> = sum_m c_m e^{2*pi*i*m*k/N} / sqrt(N). Shifting m by j
+    # to index the amplitudes from 0 only rotates the phase, so
+    # |<v_k|state>|^2 = N |ifft(c)_k|^2.
+    weights = rotor.N * np.abs(np.fft.ifft(state.amplitudes)) ** 2
     return float(np.sum(ks * rotor.tau * weights))
 
 
@@ -247,15 +253,19 @@ def measurement_simulation(
             stacklevel=2,
         )
 
-    transmitted = np.empty(rotor.N, dtype=complex)
-    reflected = np.empty(rotor.N, dtype=complex)
-    for idx, m in enumerate(rotor.levels):
-        shifted = perturb(potential, region, float(m) * shift_scale)
-        sol = scattering.solve(shifted, energy, units)
-        transmitted[idx] = sol.transmission
-        reflected[idx] = sol.reflection
-    transmitted /= math.sqrt(rotor.N)
-    reflected /= math.sqrt(rotor.N)
+    # Every level shares the cut list; only the heights inside the region
+    # move with m.
+    cuts, bases, inside = _clock_cuts(potential, region)
+    amplitudes = []
+    for m in rotor.levels.tolist():
+        strength = float(m) * shift_scale
+        heights = [base + strength if hit else base for base, hit in zip(bases, inside)]
+        amplitudes.append(
+            scattering._transmission_reflection(heights, cuts, energy, units)
+        )
+    transmitted, reflected = (
+        np.array(channel) / math.sqrt(rotor.N) for channel in zip(*amplitudes)
+    )
 
     t_weight = float(np.sum(np.abs(transmitted) ** 2))
     r_weight = float(np.sum(np.abs(reflected) ** 2))

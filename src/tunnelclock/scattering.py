@@ -8,7 +8,8 @@ coefficient of the growing exponential inside a barrier by cancellation
 and lose it for opaque stacks. Each region's expansion is anchored at its
 own left edge, so exponentials are bounded by region widths rather than
 absolute positions, and an explicit log-scale guard covers extremely
-opaque stacks (products of barrier growth factors beyond float range).
+opaque stacks (products of barrier growth factors beyond float range)
+and single barriers whose own growth factor is beyond float range.
 
 Conventions: unit amplitude incident from the left, purely outgoing wave
 on the right. Far to the left psi = e^{ikz} + R e^{-ikz}, far to the
@@ -32,6 +33,7 @@ from .potentials import (
     ClockRegion,
     PiecewiseConstantPotential,
     UnitsConfig,
+    _check_finite,
 )
 
 __all__ = [
@@ -126,12 +128,8 @@ def _local_kappa(energy: float, height: float, units: UnitsConfig) -> complex:
     return complex(0.0, math.sqrt(-ksq) / units.hbar)
 
 
-def solve(
-    potential: PiecewiseConstantPotential,
-    energy: float,
-    units: UnitsConfig = NATURAL_UNITS,
-) -> ScatteringSolution:
-    """Scatter a unit left-incident wave of the given energy.
+def _kappas(energy: float, heights, units: UnitsConfig) -> list[complex]:
+    """Local wavenumbers of the regions, the free k at both ends.
 
     Raises DegenerateEnergyError when the energy exactly equals a region
     height (zero local wavenumber) and InvalidParameterError for
@@ -139,20 +137,28 @@ def solve(
     """
     if not (isinstance(energy, (int, float)) and math.isfinite(energy) and energy > 0):
         raise InvalidParameterError(f"energy must be positive and finite, got {energy}")
-    for height in potential.heights:
-        if energy == height:
-            raise DegenerateEnergyError(
-                f"energy {energy} equals a region height; local wavenumber vanishes"
-            )
-
-    bp = potential.breakpoints
-    n = len(potential.heights)
+    if energy in heights:
+        raise DegenerateEnergyError(
+            f"energy {energy} equals a region height; local wavenumber vanishes"
+        )
     k = math.sqrt(2.0 * units.mass * energy) / units.hbar
     kappas = [complex(k)]
-    kappas.extend(_local_kappa(energy, v, units) for v in potential.heights)
+    kappas.extend(_local_kappa(energy, v, units) for v in heights)
     kappas.append(complex(k))
+    return kappas
 
-    # Backward sweep: unit outgoing amplitude on the right, nothing incoming.
+
+def _sweep(
+    kappas: list[complex], bp: tuple[float, ...]
+) -> tuple[list[tuple[complex, complex]], list[float]]:
+    """Backward sweep: unit outgoing amplitude on the right, nothing incoming.
+
+    Returns each region's (forward, backward) coefficients at its left
+    edge, and the running log-scale they were divided by. Where a barrier's
+    growth would overflow the exponential, the growth is folded into the
+    log-scale before exponentiating; every other step keeps its bits.
+    """
+    n = len(kappas) - 2
     stored: list[tuple[complex, complex]] = [(0j, 0j)] * (n + 2)
     logscale = [0.0] * (n + 2)
     amp_f, amp_b = 1.0 + 0j, 0j
@@ -164,8 +170,15 @@ def solve(
         edge_b = 0.5 * ((1.0 - ratio) * amp_f + (1.0 + ratio) * amp_b)
         if r >= 1:
             width = bp[r] - bp[r - 1]
-            amp_f = _scaled_exp(edge_f, -1j * kappas[r] * width)
-            amp_b = _scaled_exp(edge_b, 1j * kappas[r] * width)
+            try:
+                amp_f = _scaled_exp(edge_f, -1j * kappas[r] * width)
+                amp_b = _scaled_exp(edge_b, 1j * kappas[r] * width)
+            except OverflowError:
+                # Only the forward term grows, by e^{q width} in a barrier.
+                fold = kappas[r].imag * width + math.log(max(abs(edge_f), abs(edge_b)))
+                amp_f = _scaled_exp(edge_f, -1j * kappas[r] * width - fold)
+                amp_b = _scaled_exp(edge_b, 1j * kappas[r] * width - fold)
+                scale += fold
         else:
             amp_f, amp_b = edge_f, edge_b
         peak = max(abs(amp_f), abs(amp_b))
@@ -175,6 +188,57 @@ def solve(
             scale += math.log(peak)
         stored[r] = (amp_f, amp_b)
         logscale[r] = scale
+    return stored, logscale
+
+
+def _amplitudes(
+    kappas: list[complex],
+    bp: tuple[float, ...],
+    stored: list[tuple[complex, complex]],
+    logscale: list[float],
+) -> tuple[complex, complex]:
+    """T and R of a backward sweep, with the factors solve normalizes the
+    outermost regions by."""
+    k = kappas[0].real
+    inc = stored[0][0]
+    phase0 = cmath.exp(1j * k * bp[0])
+    factor_last = math.exp(logscale[-1] - logscale[0]) / inc * phase0
+    transmission = stored[-1][0] * factor_last * cmath.exp(-1j * k * bp[-1])
+    reflection = stored[0][1] * (1.0 / inc * phase0) * cmath.exp(1j * k * bp[0])
+    return transmission, reflection
+
+
+def _transmission_reflection(
+    heights: list[float], breakpoints: tuple[float, ...], energy: float, units: UnitsConfig
+) -> tuple[complex, complex]:
+    """T and R of solve on these heights, bit for bit, without building
+    the potential, the region waves or the solution.
+
+    The heights get the potential's finiteness check and the energy gets
+    solve's checks; the breakpoints must already be strictly increasing.
+    """
+    _check_finite(heights)
+    kappas = _kappas(energy, heights, units)
+    stored, logscale = _sweep(kappas, breakpoints)
+    return _amplitudes(kappas, breakpoints, stored, logscale)
+
+
+def solve(
+    potential: PiecewiseConstantPotential,
+    energy: float,
+    units: UnitsConfig = NATURAL_UNITS,
+) -> ScatteringSolution:
+    """Scatter a unit left-incident wave of the given energy.
+
+    Raises DegenerateEnergyError when the energy exactly equals a region
+    height (zero local wavenumber) and InvalidParameterError for
+    non-positive energy.
+    """
+    kappas = _kappas(energy, potential.heights, units)
+    bp = potential.breakpoints
+    n = len(potential.heights)
+    k = kappas[0].real
+    stored, logscale = _sweep(kappas, bp)
 
     # Normalize to unit incident amplitude and to the global e^{ikz} phase
     # convention. logscale[0] is the largest scale, so the exponentials
@@ -193,8 +257,7 @@ def solve(
             lo, hi, anchor = bp[-1], math.inf, bp[-1]
         regions.append(RegionWave(lo, hi, anchor, kappas[r], f * factor, b * factor))
 
-    transmission = regions[-1].a * cmath.exp(-1j * k * bp[-1])
-    reflection = regions[0].b * cmath.exp(1j * k * bp[0])
+    transmission, reflection = _amplitudes(kappas, bp, stored, logscale)
     return ScatteringSolution(
         energy=float(energy),
         wavenumber=k,

@@ -327,6 +327,12 @@ GOLDEN_SHA256 = [
     # "-5e-3" reads as the same float as "-0.005"
     ("sweep --axis E --start -5e-3 --stop 0.025 --count 31 --V0 0.018 --a 10 --d 10",
      "a4e57a32ab1bc37682bd6a5008614786e4dffe526d96d63658ce7cb20d5d01f3"),
+    ("clock-sim --N 21 --tau 25000 --halvings 3 --E 0.01 --V0 0.018 --a 10 --d 10",
+     "6970009ab47498a7253edd0fcc323104dfef681544e8a30c5aac6d18363dd25c"),
+    # region edges strictly inside the support add breakpoints to the cuts
+    ("clock-sim --N 201 --tau 40000 --halvings 2 --E 0.01 --V0 0.018 --a 10 --d 10"
+     " --z1 4 --z2 27.5",
+     "42542bd3e94f229646e8f23b90cb799e6116b63c3ae40acf9911b7bdb90207e5"),
 ]
 
 
@@ -335,6 +341,21 @@ def test_golden_output(tmp_path, command, digest):
     code, text = run_to_file(tmp_path, command.split())
     assert code == 0
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+
+def test_golden_clock_sim_potential_file(tmp_path, monkeypatch):
+    # the output names the potential file, so run from its directory
+    (tmp_path / "pot.txt").write_text(BARRIER_FILE, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    code, text = run_to_file(
+        tmp_path,
+        "clock-sim --N 51 --tau 60000 --halvings 2 --E 0.009 --potential pot.txt"
+        " --z1 2 --z2 22".split(),
+    )
+    assert code == 0
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+        "8303b3127f780d5d11cd156e9ea3589e94acc091c1e946b4676262a431c96229"
+    )
 
 
 def test_negative_exponent_float_parses(tmp_path):
@@ -482,6 +503,39 @@ def test_clock_sim_potential_file_region_defaults(tmp_path):
     _, rows = parse_csv(text)
     assert len(rows) == 1
     assert rows[0][-1] == "0"
+
+
+WIDE_BARRIER_FILE = """\
+breakpoint 0.0
+height 1.0
+breakpoint 1000.0
+"""
+
+
+def test_times_barrier_beyond_float_range(tmp_path):
+    # q * width = 1000 at E = 0.5: T underflows, so its time is NA
+    pot_file = tmp_path / "wide.txt"
+    pot_file.write_text(WIDE_BARRIER_FILE, encoding="utf-8")
+    code, text = run_to_file(
+        tmp_path,
+        ["times", "--potential", str(pot_file), "--E", "0.5",
+         "--z1", "0", "--z2", "1000"],
+    )
+    assert code == 0
+    header, rows = parse_csv(text)
+    row = dict(zip(header, rows[0]))
+    assert row["t_transmitted"] == "NA" and row["flag"] == "1"
+    assert as_float(row["t_dwell"]) == pytest.approx(1.0, rel=1e-12)
+
+
+def test_clock_sim_barrier_beyond_float_range(tmp_path, capsys):
+    pot_file = tmp_path / "wide.txt"
+    pot_file.write_text(WIDE_BARRIER_FILE, encoding="utf-8")
+    code = main(["clock-sim", "--N", "21", "--tau", "100", "--halvings", "1",
+                 "--E", "0.5", "--potential", str(pot_file)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("tunnelclock:") and "Traceback" not in err
 
 
 def test_check_pass(capsys):

@@ -234,6 +234,26 @@ def test_very_narrow_region():
     assert dwell_decomposition_check(BARRIER, region, 0.01) <= 1e-9
 
 
+def test_barrier_beyond_float_range():
+    # q * width = 1000 in one barrier; the dwell time is the opaque limit
+    # 2mk / (hbar q (k^2 + q^2)) = 1 at k = q = 1
+    pot = PiecewiseConstantPotential((0.0, 1000.0), (1.0,))
+    result = clock_times(pot, ClockRegion(0.0, 1000.0), 0.5)
+    assert result.dwell == pytest.approx(1.0, rel=1e-12)
+    assert result.transmitted is None
+    assert result.reflected == pytest.approx(1.0, rel=1e-12)
+    assert result.decomposition_residual <= 1e-12
+
+
+@pytest.mark.parametrize("a", [400.0, 1000.0, 5000.0])
+def test_opaque_double_barrier_dwell_matches_closed_form(a):
+    # 2qa up to 1e4
+    psi = scattering.solve(double_barrier(1.0, a, 3.0), 0.5)
+    dwell = scattering.dwell_time(psi, ClockRegion(0.0, 2.0 * a + 3.0))
+    reference = times(DoubleBarrierParams(V0=1.0, a=a, d=3.0, E=0.5))
+    assert dwell == pytest.approx(reference.t_whole, rel=1e-8)
+
+
 def random_stack(seed, min_regions, max_regions):
     """Barriers, free gaps and wells with widths in [0.5, 8], a tunnelling
     energy and a clock region that may stick out past the support."""
@@ -270,6 +290,15 @@ def test_weakly_transmitting_stack_decomposition():
     result = clock_times(potential, region, energy)
     assert 20 <= len(potential.heights) <= 60
     assert 1e-10 < result.transmission_prob < 1e-3
+    assert dwell_decomposition_check(potential, region, energy) <= 1e-9
+
+
+def test_residual_keeps_channels_below_floor():
+    # P_T ~ 1e-46 but P_T t_T is a tenth of the dwell time (see below);
+    # the residual counts it through its weighted term
+    potential, region, energy = random_stack(4, 200, 400)
+    result = clock_times(potential, region, energy)
+    assert result.transmission_prob < PROB_FLOOR and result.transmitted is None
     assert dwell_decomposition_check(potential, region, energy) <= 1e-9
 
 

@@ -2,19 +2,29 @@
 measurement simulation."""
 
 import math
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+from tunnelclock import scattering
 from tunnelclock.clocktimes import clock_times
 from tunnelclock.errors import (
     CouplingTooStrongError,
     CouplingWarning,
+    DegenerateEnergyError,
     InvalidParameterError,
     UndefinedReadingError,
 )
-from tunnelclock.potentials import ClockRegion, double_barrier, free_potential
+from tunnelclock.potentials import (
+    ClockRegion,
+    PiecewiseConstantPotential,
+    UnitsConfig,
+    double_barrier,
+    free_potential,
+    perturb,
+)
 from tunnelclock.rotor import (
     ClockRotor,
     ClockState,
@@ -113,6 +123,31 @@ def test_time_expectation_half_step_bias():
     assert time_expectation(ROTOR, one) == pytest.approx(
         ROTOR.tau, abs=1e-11
     )
+
+
+def matrix_time_expectation(rotor, state):
+    """Brute force: the N x N overlap matrix <v_k|state>, phase
+    +2*pi*i*m*k/N, and the tau-weighted sum of its squared moduli."""
+    ks = np.arange(rotor.N)
+    reduced = np.mod(np.outer(ks, rotor.levels), rotor.N)
+    overlaps = np.exp(2j * math.pi * reduced / rotor.N) @ state.amplitudes
+    weights = np.abs(overlaps / math.sqrt(rotor.N)) ** 2
+    return float(np.sum(ks * rotor.tau * weights))
+
+
+@pytest.mark.parametrize("n", [21, 201])
+def test_time_expectation_matches_overlap_matrix(n):
+    rotor = ClockRotor(n, 3.0)
+    rng = np.random.default_rng(n)
+    states = [basis_state(rotor, n // 3), evolve(rotor, basis_state(rotor, 0), 7.5)]
+    states += [
+        ClockState.from_unnormalized(rng.normal(size=n) + 1j * rng.normal(size=n))
+        for _ in range(3)
+    ]
+    for state in states:
+        assert time_expectation(rotor, state) == pytest.approx(
+            matrix_time_expectation(rotor, state), abs=1e-12
+        )
 
 
 def test_read_pointer_zero_and_steps():
@@ -255,3 +290,66 @@ def test_reading_convergence_order():
         errors.append(abs(result.transmitted.t_read - reference))
     ratio = errors[0] / errors[1]
     assert 2.5 < ratio < 6.0
+
+
+def solve_per_level(potential, region, energy, rotor, units):
+    """Reference: one perturb and one full solve per level, ascending m."""
+    transmitted, reflected = [], []
+    for m in rotor.levels:
+        sol = scattering.solve(
+            perturb(potential, region, float(m) * units.hbar * rotor.omega),
+            energy,
+            units,
+        )
+        transmitted.append(sol.transmission)
+        reflected.append(sol.reflection)
+    return np.array(transmitted), np.array(reflected)
+
+
+@pytest.mark.parametrize(
+    "region",
+    [ClockRegion(0.0, 25.0), ClockRegion(3.0, 17.5), ClockRegion(-4.0, 12.0)],
+)
+def test_levels_match_full_solves_bit_for_bit(region):
+    potential = PiecewiseConstantPotential(
+        (0.0, 10.0, 12.5, 20.0, 25.0), (0.018, -0.004, 0.0, 0.012)
+    )
+    units = UnitsConfig(mass=2.0, hbar=0.5)
+    rotor = ClockRotor(51, 60000.0)
+    result = measurement_simulation(potential, region, 0.009, rotor, units)
+    transmitted, reflected = solve_per_level(potential, region, 0.009, rotor, units)
+    transmitted /= math.sqrt(rotor.N)
+    reflected /= math.sqrt(rotor.N)
+    t_weight = float(np.sum(np.abs(transmitted) ** 2))
+    r_weight = float(np.sum(np.abs(reflected) ** 2))
+    assert result.transmitted_weight == t_weight
+    assert result.reflected_weight == r_weight
+    assert result.transmitted == read_pointer(
+        rotor, ClockState(transmitted / math.sqrt(t_weight))
+    )
+    assert result.reflected == read_pointer(
+        rotor, ClockState(reflected / math.sqrt(r_weight))
+    )
+
+
+def test_shifted_level_at_the_energy_is_degenerate():
+    # the top level lifts the 0.25-ish floor exactly onto E = 0.5; the
+    # coupling bound only guards heights above E
+    rotor = ClockRotor(3, math.tau / 0.75)
+    shift = rotor.omega
+    floor = 0.5 - shift
+    assert floor + shift == 0.5
+    potential = PiecewiseConstantPotential((0.0, 1.0), (floor,))
+    with pytest.warns(CouplingWarning), pytest.raises(DegenerateEnergyError):
+        measurement_simulation(potential, ClockRegion(0.0, 1.0), 0.5, rotor)
+
+
+def test_level_shifted_past_float_range_is_rejected():
+    # the top level adds 5e299 to the largest float: the shifted height
+    # is not finite, as perturb's potential would report
+    rotor = ClockRotor(3, math.tau / 1.5e300)
+    potential = PiecewiseConstantPotential((0.0, 1.0), (sys.float_info.max,))
+    with pytest.warns(CouplingWarning), pytest.raises(
+        InvalidParameterError, match="must be finite"
+    ):
+        measurement_simulation(potential, ClockRegion(0.0, 1.0), 1e300, rotor)

@@ -242,6 +242,15 @@ def test_opaque_stack_no_overflow():
     assert math.isfinite(val.real) and math.isfinite(val.imag)
 
 
+def test_single_barrier_growth_beyond_float_range():
+    # q * width = 1000: the growth across this one barrier alone is
+    # e^1000, past the float range, so it goes into the log-scale
+    sol = solve(rectangular_barrier(1.0, 1000.0), 0.5)
+    assert sol.transmission == 0
+    assert abs(sol.reflection) == pytest.approx(1.0, rel=1e-12)
+    assert dwell_time(sol, ClockRegion(0.0, 1000.0)) == pytest.approx(1.0, rel=1e-12)
+
+
 @st.composite
 def random_potential_and_energy(draw):
     n = draw(st.integers(min_value=1, max_value=5))
