@@ -15,6 +15,7 @@ import random
 from dataclasses import dataclass
 
 from .clocktimes import clock_times
+from .errors import InvalidParameterError
 from .potentials import (
     NATURAL_UNITS,
     ClockRegion,
@@ -110,6 +111,8 @@ def decomposition_suite(
     units: UnitsConfig = NATURAL_UNITS,
 ) -> SuiteResult:
     """Run count randomized instances; deterministic for a given seed."""
+    if count < 1:
+        raise InvalidParameterError(f"count must be >= 1, got {count}")
     rng = random.Random(seed)
     results = []
     for _ in range(count):

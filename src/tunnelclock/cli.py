@@ -13,6 +13,7 @@ problems, 1 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import re
 import sys
@@ -217,13 +218,13 @@ def _sweep_rows(
             params = closedform.DoubleBarrierParams(
                 V0=point["V0"], a=point["a"], d=point["d"], E=point["E"], units=units
             )
+            values, flag = _double_barrier_row(params)
         except InvalidParameterError:
             # Out-of-regime grid point: keep the row, mark it, move on.
             row = [value, point["E"], point["V0"], point["a"], point["d"],
                    None, None, None, None, None]
             rows.append(",".join(_fmt(v) for v in row) + ",1")
             continue
-        values, flag = _double_barrier_row(params)
         row = [value, point["E"], point["V0"], point["a"], point["d"], *values]
         rows.append(",".join(_fmt(v) for v in row) + f",{flag}")
     return rows
@@ -273,6 +274,8 @@ FIG1_BARRIER_WIDTH = {"a": 10.0, "b": 30.0}
 
 def cmd_fig1(args: argparse.Namespace) -> int:
     units = _parse_units(args)
+    if args.count < 2:
+        raise InvalidParameterError(f"--count must be >= 2, got {args.count}")
     a = FIG1_BARRIER_WIDTH[args.panel]
     lines = [
         "# tunnelclock fig1",
@@ -304,6 +307,8 @@ def cmd_clock_sim(args: argparse.Namespace) -> int:
         source = f"V0={_fmt(args.V0)} a={_fmt(args.a)} d={_fmt(args.d)}"
     if args.E is None:
         raise InvalidParameterError("--E is required")
+    if args.halvings < 0:
+        raise InvalidParameterError(f"--halvings must be >= 0, got {args.halvings}")
     lo, hi = potential.support
     z1 = args.z1 if args.z1 is not None else lo
     z2 = args.z2 if args.z2 is not None else hi
@@ -318,8 +323,11 @@ def cmd_clock_sim(args: argparse.Namespace) -> int:
         f" N={args.N} tau={_fmt(args.tau)} halvings={args.halvings}",
         "omega,tau,t_read,spread,t_perturbative,trans_weight,flag",
     ]
+    tau = args.tau
     for step in range(args.halvings + 1):
-        tau = args.tau * 2.0**step
+        if step:
+            # Doubling is exact; past the float range ClockRotor rejects tau.
+            tau *= 2.0
         rotor = ClockRotor(N=args.N, tau=tau)
         try:
             result = measurement_simulation(potential, region, args.E, rotor, units)
@@ -469,9 +477,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main uses, built on first use and kept for the process.
+
+    argparse keeps no state between parse_args calls (each builds a fresh
+    namespace, and help is formatted only when printed), so reuse leaves
+    every output unchanged.
+    """
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except InvalidParameterError as exc:

@@ -290,7 +290,28 @@ def times(params: DoubleBarrierParams) -> DoubleBarrierTimes:
     Every ratio is formed from e^{-2qa}-scaled auxiliaries, so the common
     growth factor cancels exactly and the times stay accurate for wide
     barriers. t_whole = t_between + t_barriers holds identically.
+
+    Raises InvalidParameterError where the times leave the float range:
+    barriers so tall that the auxiliaries overflow, energies so small that
+    their denominator vanishes, or wavenumbers that are not finite.
     """
+    try:
+        t = _times(params)
+        finite = all(
+            map(math.isfinite, (t.t_whole, t.t_between, t.t_barriers, t.t_opaque))
+        )
+    except (ArithmeticError, ValueError):
+        # ValueError: math.sin of an infinite phase.
+        finite = False
+    if not finite:
+        raise InvalidParameterError(
+            f"closed-form times leave the float range at E={params.E}, "
+            f"V0={params.V0}, a={params.a}, d={params.d}"
+        )
+    return t
+
+
+def _times(params: DoubleBarrierParams) -> DoubleBarrierTimes:
     k, q = params.k, params.q
     a, d = params.a, params.d
     m, hbar = params.units.mass, params.units.hbar

@@ -80,6 +80,12 @@ class ClockRotor:
             raise InvalidParameterError(f"N must be odd and >= 3, got {self.N}")
         if not (math.isfinite(self.tau) and self.tau > 0):
             raise InvalidParameterError(f"tau must be positive, got {self.tau}")
+        # omega = 2*pi/(N*tau) must stay positive to convert angles to times.
+        if not math.isfinite(self.N * self.tau):
+            raise InvalidParameterError(
+                f"clock period N*tau overflows the float range "
+                f"(N={self.N}, tau={self.tau})"
+            )
 
     @property
     def j(self) -> int:
@@ -209,15 +215,14 @@ def read_pointer(rotor: ClockRotor, state: ClockState) -> PointerReading:
     return PointerReading(t_read=angle / rotor.omega, spread=spread)
 
 
-def _coupling_bound(
-    potential: PiecewiseConstantPotential, energy: float
-) -> float:
+def _coupling_bound(bases: list[float], inside: list[bool], energy: float) -> float:
     """Smallest energy margin the level shifts must stay below: the energy
-    itself and every barrier clearance V_r - E of regions above E."""
+    itself and the distance |V - E| of every interval inside the clock
+    region, above or below E. Intervals outside the region never shift."""
     bound = energy
-    for height in potential.heights:
-        if height > energy:
-            bound = min(bound, height - energy)
+    for base, hit in zip(bases, inside):
+        if hit:
+            bound = min(bound, abs(base - energy))
     return bound
 
 
@@ -236,8 +241,11 @@ def measurement_simulation(
     R^(m)/sqrt(N)); both are renormalized before reading. Levels are
     processed in ascending m order, so results are deterministic.
     """
+    # Every level shares the cut list; only the heights inside the region
+    # move with m.
+    cuts, bases, inside = _clock_cuts(potential, region)
     shift_scale = units.hbar * rotor.omega
-    bound = _coupling_bound(potential, energy)
+    bound = _coupling_bound(bases, inside, energy)
     largest = rotor.j * shift_scale
     if largest >= bound:
         raise CouplingTooStrongError(
@@ -253,9 +261,6 @@ def measurement_simulation(
             stacklevel=2,
         )
 
-    # Every level shares the cut list; only the heights inside the region
-    # move with m.
-    cuts, bases, inside = _clock_cuts(potential, region)
     amplitudes = []
     for m in rotor.levels.tolist():
         strength = float(m) * shift_scale

@@ -133,7 +133,8 @@ def _kappas(energy: float, heights, units: UnitsConfig) -> list[complex]:
 
     Raises DegenerateEnergyError when the energy exactly equals a region
     height (zero local wavenumber) and InvalidParameterError for
-    non-positive energy.
+    non-positive energy, an infinite free wavenumber or a local one that
+    underflows to zero.
     """
     if not (isinstance(energy, (int, float)) and math.isfinite(energy) and energy > 0):
         raise InvalidParameterError(f"energy must be positive and finite, got {energy}")
@@ -142,9 +143,17 @@ def _kappas(energy: float, heights, units: UnitsConfig) -> list[complex]:
             f"energy {energy} equals a region height; local wavenumber vanishes"
         )
     k = math.sqrt(2.0 * units.mass * energy) / units.hbar
+    if not math.isfinite(k):
+        raise InvalidParameterError(
+            f"energy {energy} gives a wavenumber beyond the float range"
+        )
     kappas = [complex(k)]
     kappas.extend(_local_kappa(energy, v, units) for v in heights)
     kappas.append(complex(k))
+    if 0j in kappas:
+        raise InvalidParameterError(
+            f"energy {energy} gives a local wavenumber that underflows to zero"
+        )
     return kappas
 
 

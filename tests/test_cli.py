@@ -9,9 +9,11 @@ import sys
 import pytest
 
 import tunnelclock
-from tunnelclock.cli import load_potential_file, main
+from tunnelclock import cli
+from tunnelclock.cli import build_parser, load_potential_file, main
 from tunnelclock.closedform import DoubleBarrierParams, times
 from tunnelclock.errors import InvalidParameterError
+from tunnelclock.rotor import ClockRotor
 
 BARRIER_FILE = """\
 # two unequal barriers
@@ -536,6 +538,101 @@ def test_clock_sim_barrier_beyond_float_range(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("tunnelclock:") and "Traceback" not in err
+
+
+@pytest.mark.filterwarnings("ignore::tunnelclock.errors.CouplingWarning")
+def test_clock_sim_shift_onto_the_energy_is_flagged(tmp_path):
+    # N = 3: the top level would lift the floor exactly onto E = 0.5, which
+    # the coupling bound now rejects before any level is scattered
+    tau = math.tau / 0.75
+    floor = 0.5 - ClockRotor(3, tau).omega
+    pot_file = tmp_path / "floor.txt"
+    pot_file.write_text(
+        f"breakpoint 0\nheight {floor!r}\nbreakpoint 1\n", encoding="utf-8"
+    )
+    code, text = run_to_file(
+        tmp_path,
+        ["clock-sim", "--N", "3", "--tau", repr(tau), "--halvings", "1",
+         "--E", "0.5", "--potential", str(pot_file)],
+    )
+    assert code == 0
+    _, rows = parse_csv(text)
+    assert rows[0][2] == "NA" and rows[0][-1] == "1"
+    assert rows[1][-1] == "0"
+
+
+# Extreme values that used to end in a raw Python exception.
+FLOAT_RANGE_EDGES = [
+    ("check --count 0", 2),
+    ("clock-sim --N 5 --tau 1.7976931348623157e308 --halvings 1"
+     " --E 0.01 --V0 0.018 --a 10 --d 10", 2),
+    ("times --E 0.01 --V0 1e300 --a 10 --d 10", 2),
+    ("sweep --axis V0 --start 0.001 --stop 1e300 --count 5"
+     " --E 0.01 --a 10 --d 10", 0),
+    ("times --E 5e-324 --V0 0.018 --a 10 --d 10", 2),
+    ("times --potential {pot} --z1 0 --z2 25 --E 1.7976931348623157e308", 2),
+    ("clock-sim --N 21 --tau 100 --E 1.7976931348623157e308"
+     " --potential {pot}", 2),
+]
+
+
+@pytest.mark.parametrize("command, expected", FLOAT_RANGE_EDGES)
+def test_float_range_edges_end_cleanly(tmp_path, capsys, command, expected):
+    pot_file = tmp_path / "pot.txt"
+    pot_file.write_text(BARRIER_FILE, encoding="utf-8")
+    code = main(command.format(pot=pot_file).split())
+    out, err = capsys.readouterr()
+    assert code == expected
+    assert "Traceback" not in err
+    if code == 0:
+        _, rows = parse_csv(out)
+        assert all(row[-1] == "1" for row in rows if "NA" in row)
+        assert any(set(row[5:-1]) == {"NA"} for row in rows)
+    else:
+        assert err.startswith("tunnelclock:") and out == ""
+
+
+def test_main_builds_its_parser_once(tmp_path, capsys, monkeypatch):
+    pot_file = tmp_path / "pot.txt"
+    pot_file.write_text(BARRIER_FILE, encoding="utf-8")
+    generic = ["times", "--potential", str(pot_file), "--E", "0.009",
+               "--z1", "0", "--z2", "25"]
+    no_levels = ["clock-sim", "--tau", "100", "--E", "0.01", "--V0", "0.018",
+                 "--a", "10", "--d", "10"]
+    double = ["times", "--E", "0.01", "--V0", "0.018", "--a", "10", "--d", "10"]
+    calls = [generic, no_levels, double, generic]
+
+    def outcome(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        return (code, *capsys.readouterr())
+
+    fresh = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        fresh.append(outcome(argv))
+    assert fresh[1][0] == 2 and "--N" in fresh[1][2]
+
+    builds = []
+
+    def counting_build():
+        builds.append(None)
+        return build_parser()
+
+    cli._parser.cache_clear()
+    monkeypatch.setattr(cli, "build_parser", counting_build)
+    assert [outcome(argv) for argv in calls] == fresh
+    assert cli._parser().parse_args(double).potential is None
+    assert len(builds) == 1
+
+    assert build_parser() is not build_parser()
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == build_parser().format_help()
+    assert len(builds) == 1
 
 
 def test_check_pass(capsys):

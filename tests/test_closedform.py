@@ -61,6 +61,20 @@ def test_parameter_validation():
         DoubleBarrierParams(V0=math.inf, a=10.0, d=10.0, E=0.01)
 
 
+@pytest.mark.parametrize(
+    "params",
+    [
+        dict(V0=1e100, a=10.0, d=10.0, E=0.01),  # scaled terms reach nan
+        dict(V0=1e300, a=10.0, d=10.0, E=0.01),  # (q^2 + k^2)^2 overflows
+        dict(V0=0.018, a=10.0, d=10.0, E=5e-324),  # denominator underflows
+        dict(V0=0.018, a=10.0, d=1.7e308, E=0.01),  # gap time overflows
+    ],
+)
+def test_times_beyond_float_range_rejected(params):
+    with pytest.raises(InvalidParameterError, match="float range"):
+        times(DoubleBarrierParams(**params))
+
+
 def test_amplitude_matches_engine():
     p = DoubleBarrierParams(**BASE)
     sol = solve(double_barrier(p.V0, p.a, p.d), p.E)

@@ -13,7 +13,6 @@ from tunnelclock.clocktimes import clock_times
 from tunnelclock.errors import (
     CouplingTooStrongError,
     CouplingWarning,
-    DegenerateEnergyError,
     InvalidParameterError,
     UndefinedReadingError,
 )
@@ -53,6 +52,9 @@ def test_rotor_validation():
         ClockRotor(21, 0.0)
     with pytest.raises(InvalidParameterError):
         ClockRotor(21, math.inf)
+    # N * tau overflows, so omega would be zero
+    with pytest.raises(InvalidParameterError, match="N\\*tau"):
+        ClockRotor(5, sys.float_info.max)
     assert ROTOR.j == 10
     assert ROTOR.omega == pytest.approx(math.tau / 21.0, rel=1e-15)
     assert list(ROTOR.levels) == list(range(-10, 11))
@@ -332,16 +334,30 @@ def test_levels_match_full_solves_bit_for_bit(region):
     )
 
 
-def test_shifted_level_at_the_energy_is_degenerate():
-    # the top level lifts the 0.25-ish floor exactly onto E = 0.5; the
-    # coupling bound only guards heights above E
+def test_shift_onto_the_energy_is_too_strong():
+    # the top level would lift the 0.25 floor exactly onto E = 0.5: the
+    # margin |V - E| of a region below E bounds the coupling too
     rotor = ClockRotor(3, math.tau / 0.75)
     shift = rotor.omega
     floor = 0.5 - shift
     assert floor + shift == 0.5
     potential = PiecewiseConstantPotential((0.0, 1.0), (floor,))
-    with pytest.warns(CouplingWarning), pytest.raises(DegenerateEnergyError):
+    with pytest.raises(CouplingTooStrongError):
         measurement_simulation(potential, ClockRegion(0.0, 1.0), 0.5, rotor)
+
+
+def test_barrier_outside_the_region_leaves_the_coupling_free():
+    # largest shift 0.009: past the barriers' margin V0 - E = 0.008, but
+    # inside E - 0 = 0.01 of the gap, the only interval the clock shifts
+    rotor = ClockRotor(21, 10 * math.tau / (21 * 0.009))
+    potential = double_barrier(0.018, 10.0, 10.0)
+    with pytest.warns(CouplingWarning):
+        result = measurement_simulation(
+            potential, ClockRegion(10.0, 20.0), 0.01, rotor
+        )
+    assert math.isfinite(result.transmitted.t_read)
+    with pytest.raises(CouplingTooStrongError):
+        measurement_simulation(potential, ClockRegion(0.0, 30.0), 0.01, rotor)
 
 
 def test_level_shifted_past_float_range_is_rejected():
