@@ -561,7 +561,8 @@ def test_clock_sim_shift_onto_the_energy_is_flagged(tmp_path):
     assert rows[1][-1] == "0"
 
 
-# Extreme values that used to end in a raw Python exception.
+# Extreme values that used to end in a raw Python exception (a negative
+# --halvings in a CSV without rows).
 FLOAT_RANGE_EDGES = [
     ("check --count 0", 2),
     ("clock-sim --N 5 --tau 1.7976931348623157e308 --halvings 1"
@@ -573,9 +574,19 @@ FLOAT_RANGE_EDGES = [
     ("times --potential {pot} --z1 0 --z2 25 --E 1.7976931348623157e308", 2),
     ("clock-sim --N 21 --tau 100 --E 1.7976931348623157e308"
      " --potential {pot}", 2),
+    # a local wavenumber underflows to zero
+    ("times --potential {pot} --z1 0 --z2 25 --E 0.009 --mass 5e-324", 2),
+    # k overflows inside the closed forms
+    ("times --E 0.01 --V0 0.018 --a 10 --d 10 --mass 1.7976931348623157e308", 2),
+    ("fig1 --panel a --count -2", 2),
+    ("clock-sim --N 3 --tau 1 --halvings -1 --E 0.01 --V0 0.018 --a 10 --d 10", 2),
+    # 2.0**1024 overflowed; doubling tau reaches these rows exactly
+    ("clock-sim --N 3 --tau 1e-300 --halvings 1100"
+     " --E 0.01 --V0 0.018 --a 10 --d 10", 0),
 ]
 
 
+@pytest.mark.filterwarnings("ignore::tunnelclock.errors.CouplingWarning")
 @pytest.mark.parametrize("command, expected", FLOAT_RANGE_EDGES)
 def test_float_range_edges_end_cleanly(tmp_path, capsys, command, expected):
     pot_file = tmp_path / "pot.txt"
