@@ -10,19 +10,17 @@ import argparse
 import os
 import sys
 
+import numpy as np
+
 from tunnelclock.cli import main as cli_main
-from tunnelclock.closedform import DoubleBarrierParams, near_resonance, times
+from tunnelclock.closedform import NEAR_RESONANCE_CUTOFF, grid
 
 
 def summarize(panel, a, ds):
-    peaks = []
-    plateau = []
-    for d in ds:
-        params = DoubleBarrierParams(V0=0.018, a=a, d=d, E=0.01)
-        if near_resonance(params):
-            peaks.append(d)
-        else:
-            plateau.append((d, times(params).t_between))
+    g = grid(0.018, a, np.array(ds), 0.01)
+    near = g.proximity < NEAR_RESONANCE_CUTOFF
+    peaks = [d for d, flag in zip(ds, near) if flag]
+    plateau = [(d, float(t)) for d, t, flag in zip(ds, g.t_between, near) if not flag]
     lo = min(plateau, key=lambda p: p[0])
     hi = max(plateau, key=lambda p: p[0])
     print(f"panel {panel} (a={a:g}): {len(peaks)} flagged peak points")

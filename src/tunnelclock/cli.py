@@ -131,16 +131,48 @@ def load_potential_file(path: str) -> PiecewiseConstantPotential:
     return PiecewiseConstantPotential(tuple(breakpoints), tuple(heights))
 
 
-def _double_barrier_row(
-    params: closedform.DoubleBarrierParams,
-) -> tuple[list[float | None], int]:
-    t = closedform.times(params)
-    trans_prob = abs(closedform.perturbed_amplitude(params)) ** 2
-    flag = 1 if closedform.near_resonance(params) else 0
-    values = [t.t_whole, t.t_between, t.t_barriers, t.t_opaque, trans_prob]
-    return values, flag
-
 DB_COLUMNS = "t_whole,t_between,t_barriers,t_opaque,trans_prob,flag"
+
+
+def _double_barrier_rows(
+    lead: list[float | np.ndarray], units: UnitsConfig
+) -> tuple[list[str], np.ndarray]:
+    """CSV rows of the closed forms over a grid, and where they are defined.
+
+    lead holds the columns printed before the closed forms; its last four
+    are E, V0, a and d. Each is a float, the same on every row, or the one
+    grid array, which may appear more than once. The grid goes through
+    closedform.grid in one pass, and each row through one % template with
+    the floats already in it and the grid value formatted once. A row with
+    a NaN or an undefined point is formatted value by value instead: NA
+    entries, and flag 1 where undefined.
+    """
+    E, V0, a, d = lead[-4:]
+    g = closedform.grid(V0, a, d, E, units)
+    values = [g.t_whole, g.t_between, g.t_barriers, g.t_opaque, g.trans_prob]
+    flags = g.proximity < closedform.NEAR_RESONANCE_CUTOFF
+    on_grid = [isinstance(c, np.ndarray) for c in lead]
+    template = ",".join(
+        ["%s" if is_grid else _fmt(c) for c, is_grid in zip(lead, on_grid)]
+        + ["%.17g"] * len(values)
+    ) + ",%d"
+    slow = ~g.ok | np.isnan(g.trans_prob)
+    grid_text = []
+    if any(on_grid):
+        grid = lead[on_grid.index(True)]
+        grid_text = list(map("%.17g".__mod__, grid.tolist()))
+        slow |= np.isnan(grid)
+    columns = [grid_text] * sum(on_grid) + [v.tolist() for v in values] + [flags.tolist()]
+    rows = [template % row for row in zip(*columns)]
+    for i in np.flatnonzero(slow):
+        row = [float(c[i]) if is_grid else c for c, is_grid in zip(lead, on_grid)]
+        if g.ok[i]:
+            row += [float(v[i]) for v in values]
+        else:
+            row += [None] * len(values)
+        flag = int(flags[i]) if g.ok[i] else 1
+        rows[i] = ",".join(_fmt(v) for v in row) + f",{flag}"
+    return rows, g.ok
 
 
 def _parse_units(args: argparse.Namespace) -> UnitsConfig:
@@ -190,9 +222,10 @@ def cmd_times(args: argparse.Namespace) -> int:
             f"# E={_fmt(args.E)} V0={_fmt(args.V0)} a={_fmt(args.a)} d={_fmt(args.d)}"
         )
         lines.append("E,V0,a,d," + DB_COLUMNS)
-        values, flag = _double_barrier_row(params)
-        row = [args.E, args.V0, args.a, args.d, *values]
-        lines.append(",".join(_fmt(v) for v in row) + f",{flag}")
+        rows, ok = _double_barrier_rows([args.E, args.V0, args.a, args.d], units)
+        if not ok[0]:
+            raise params.float_range_error()
+        lines.extend(rows)
     _emit(lines, args.out)
     return 0
 
@@ -208,26 +241,12 @@ def _sweep_rows(
     fixed: dict[str, float],
     units: UnitsConfig,
 ) -> list[str]:
-    """One double-barrier CSV row per grid point of the swept axis."""
-    rows = []
+    """One double-barrier CSV row per grid point of the swept axis; an
+    out-of-regime point gives a flagged NA row."""
     point = dict(fixed)
-    for value in np.linspace(start, stop, count):
-        value = float(value)
-        point[axis] = value
-        try:
-            params = closedform.DoubleBarrierParams(
-                V0=point["V0"], a=point["a"], d=point["d"], E=point["E"], units=units
-            )
-            values, flag = _double_barrier_row(params)
-        except InvalidParameterError:
-            # Out-of-regime grid point: keep the row, mark it, move on.
-            row = [value, point["E"], point["V0"], point["a"], point["d"],
-                   None, None, None, None, None]
-            rows.append(",".join(_fmt(v) for v in row) + ",1")
-            continue
-        row = [value, point["E"], point["V0"], point["a"], point["d"], *values]
-        rows.append(",".join(_fmt(v) for v in row) + f",{flag}")
-    return rows
+    point[axis] = np.linspace(start, stop, count)
+    lead = [point[axis]] + [point[name] for name in ("E", "V0", "a", "d")]
+    return _double_barrier_rows(lead, units)[0]
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:

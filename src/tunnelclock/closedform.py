@@ -1,5 +1,5 @@
-"""Exact transmission amplitude, phase, and clock times for the symmetric
-double barrier, with opaque-limit and wide-barrier asymptotics.
+"""Exact transmission amplitude and clock times for the symmetric double
+barrier, with opaque-limit and wide-barrier asymptotics.
 
 All expressions are evaluated in a form scaled by e^{-2qa}: cosh(2qa) and
 sinh(2qa) never appear directly, only (1 +- e^{-4qa})/2, and purely
@@ -7,6 +7,29 @@ algebraic terms carry an explicit e^{-2qa} factor. Ratios such as the
 clock times are invariant under this common scaling, so they stay finite
 and accurate deep into the opaque regime where the raw auxiliaries would
 overflow (2qa of a few hundred and beyond).
+
+The formulas run over float64 arrays, one element per parameter set:
+``grid`` evaluates a whole sweep in one pass, and ``times``,
+``perturbed_amplitude`` and ``resonance_proximity`` run the same code on
+arrays of length one. Each element equals, bit for bit, what plain
+CPython float and complex arithmetic gives for that parameter set alone,
+so the 17-digit CSV does not depend on how many points are evaluated at
+once:
+
+- numpy does only + - * /, sqrt, comparisons, ``where`` and ``hypot``.
+  These round exactly like CPython's float operations and the libm
+  ``hypot`` that CPython's complex ``abs`` calls.
+- exp, sin, cos, atan2 and every ``x ** 2`` run per element through the
+  math module and float pow. numpy's own transcendental functions, and
+  its ``x ** 2`` (an exact x * x where libm's pow(x, 2) may round the
+  other way), differ from them in the last bit.
+- Complex values are (real, imag) pairs combined by CPython 3.11's rules:
+  the product (ac - bd, ad + bc), with a float operand taken as (x, 0);
+  Smith's quotient; z ** 2 as 1 * (z * z); exp(z) as e^re (cos, sin) of
+  im; abs as hypot. numpy's complex product rounds differently.
+- Where the scalar arithmetic raises (a square that overflows, the sine
+  of an infinite phase, a zero divisor), the element is marked in a mask
+  instead. The arithmetic runs with numpy's warnings off.
 """
 
 from __future__ import annotations
@@ -14,6 +37,9 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
+
+import numpy as np
 
 from .errors import (
     InvalidParameterError,
@@ -24,12 +50,10 @@ from .potentials import NATURAL_UNITS, UnitsConfig
 
 __all__ = [
     "DoubleBarrierParams",
-    "AuxiliaryValues",
     "DoubleBarrierTimes",
+    "DoubleBarrierGrid",
+    "grid",
     "perturbed_amplitude",
-    "perturbed_phase",
-    "perturbed_alpha_beta",
-    "auxiliaries",
     "times",
     "opaque_limit_gap",
     "asymptotic_agreement",
@@ -88,27 +112,12 @@ class DoubleBarrierParams:
         """Barrier decay constant sqrt(2 m (V0 - E)) / hbar."""
         return math.sqrt(2.0 * self.units.mass * (self.V0 - self.E)) / self.units.hbar
 
-
-@dataclass(frozen=True)
-class AuxiliaryValues:
-    """Unscaled auxiliary combinations entering the closed-form times.
-
-    alpha0/beta0 are the zero-coupling amplitude components, gamma1/gamma2
-    their derivatives with respect to the gap wavenumber, gamma3/gamma4
-    with respect to the barrier decay constant, and h1/h2 the cross
-    combinations alpha0*gamma1 - beta0*gamma2 and alpha0*gamma3 -
-    beta0*gamma4. These grow like e^{2qa} (h like e^{4qa}); use times()
-    for opaque-regime ratios.
-    """
-
-    alpha0: float
-    beta0: float
-    gamma1: float
-    gamma2: float
-    gamma3: float
-    gamma4: float
-    h1: float
-    h2: float
+    def float_range_error(self, quantity: str = "times") -> InvalidParameterError:
+        """The error for a closed-form quantity that leaves the float range here."""
+        return InvalidParameterError(
+            f"closed-form {quantity} leave the float range at E={self.E}, "
+            f"V0={self.V0}, a={self.a}, d={self.d}"
+        )
 
 
 @dataclass(frozen=True)
@@ -130,47 +139,177 @@ class DoubleBarrierTimes:
     t_between_asymptotic: float
 
 
-def _scaled_hyperbolics(q: float, a: float) -> tuple[float, float, float]:
-    """cosh(2qa), sinh(2qa), and 1, all scaled by e^{-2qa}."""
-    x = math.exp(-4.0 * q * a)
-    return 0.5 * (1.0 + x), 0.5 * (1.0 - x), math.exp(-2.0 * q * a)
+@dataclass(frozen=True)
+class DoubleBarrierGrid:
+    """Closed forms over a grid of parameter sets, one element per set.
+
+    ok is False where the set leaves the tunneling regime, where times,
+    perturbed_amplitude, abs(amplitude) ** 2 or resonance_proximity would
+    raise for it, or where a time is not finite. The other arrays hold
+    meaningless values there.
+    """
+
+    t_whole: np.ndarray
+    t_between: np.ndarray
+    t_barriers: np.ndarray
+    t_opaque: np.ndarray
+    trans_prob: np.ndarray
+    proximity: np.ndarray
+    ok: np.ndarray
 
 
-def _scaled_alpha_beta(k: float, p: float, q: float, a: float, d: float) -> tuple[float, float]:
+class _Terms(NamedTuple):
+    """sin pd and cos pd, and cosh 2qa, sinh 2qa and 1 scaled by e^{-2qa}."""
+
+    sin: np.ndarray
+    cos: np.ndarray
+    ch: np.ndarray
+    sh: np.ndarray
+    nh: np.ndarray
+
+
+def _arrays(*values) -> list[np.ndarray]:
+    """The values as float64 arrays of one common length (at least 1)."""
+    arrays = np.broadcast_arrays(*(np.asarray(v, float) for v in values))
+    return [np.atleast_1d(v) for v in arrays]
+
+
+def _each(function, *arrays: np.ndarray) -> np.ndarray:
+    """function applied per element to Python floats."""
+    return np.array(list(map(function, *(x.tolist() for x in arrays))), dtype=float)
+
+
+def _each_finite(function, x: np.ndarray, bad: np.ndarray) -> np.ndarray:
+    """math.sin or math.cos per element; marks bad where x is infinite,
+    where they raise."""
+    infinite = np.isinf(x)
+    bad |= infinite
+    return _each(function, np.where(infinite, np.nan, x))
+
+
+# Float pow with exponent 2, as x ** 2 computes it.
+_SQUARE = (2.0).__rpow__
+
+
+def _square(x: np.ndarray, bad: np.ndarray) -> np.ndarray:
+    """x ** 2 per element; marks bad where it overflows, where it raises.
+
+    Below 1e154 the square cannot overflow, so only the elements above
+    take the checked per-element path.
+    """
+    large = ~(np.abs(x) < 1e154)
+    y = _each(_SQUARE, np.where(large, 0.0, x))
+    for i in np.flatnonzero(large):
+        try:
+            y[i] = float(x[i]) ** 2
+        except OverflowError:
+            bad[i] = True
+    return y
+
+
+def _cmul(x, y):
+    """Complex product of (real, imag) pairs; a float operand is (x, 0.0)."""
+    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+def _csquare(z, bad: np.ndarray):
+    """z ** 2 as CPython forms it, 1 * (z * z); marks bad where a part is
+    infinite, where it raises."""
+    r = _cmul((1.0, 0.0), _cmul(z, z))
+    bad |= np.isinf(r[0]) | np.isinf(r[1])
+    return r
+
+
+def _cdiv(x, y, bad: np.ndarray):
+    """Smith's quotient x / y; marks bad where y is zero, where it raises."""
+    abs_re, abs_im = np.abs(y[0]), np.abs(y[1])
+    by_re = abs_re >= abs_im
+    by_im = ~by_re & (abs_im >= abs_re)
+    bad |= by_re & (abs_re == 0.0)
+    ratio = y[1] / y[0]
+    den = y[0] + y[1] * ratio
+    re_r, im_r = (x[0] + x[1] * ratio) / den, (x[1] - x[0] * ratio) / den
+    ratio = y[0] / y[1]
+    den = y[0] * ratio + y[1]
+    re_i, im_i = (x[0] * ratio + x[1]) / den, (x[1] * ratio - x[0]) / den
+    # Neither branch holds where a part of y is NaN.
+    return (np.where(by_re, re_r, np.where(by_im, re_i, np.nan)),
+            np.where(by_re, im_r, np.where(by_im, im_i, np.nan)))
+
+
+def _cexp(z, bad: np.ndarray):
+    """cmath.exp per element; marks bad where it raises.
+
+    For a finite z with a moderate real part it is e^re (cos im, sin im);
+    any other element goes through cmath.exp itself.
+    """
+    plain = np.isfinite(z[1]) & (np.abs(z[0]) < 700.0)
+    re, im = np.where(plain, z[0], 0.0), np.where(plain, z[1], 0.0)
+    scale = _each(math.exp, re)
+    re, im = scale * _each(math.cos, im), scale * _each(math.sin, im)
+    for i in np.flatnonzero(~plain):
+        try:
+            w = cmath.exp(complex(z[0][i], z[1][i]))
+            re[i], im[i] = w.real, w.imag
+        except (ValueError, OverflowError):
+            bad[i] = True
+    return re, im
+
+
+def _cabs(z, bad: np.ndarray) -> np.ndarray:
+    """abs of a complex per element: infinite if a part is, NaN if a part
+    is NaN, else hypot; marks bad where hypot overflows, where it raises."""
+    h = np.hypot(z[0], z[1])
+    bad |= np.isfinite(z[0]) & np.isfinite(z[1]) & np.isinf(h)
+    return np.where(np.isinf(z[0]) | np.isinf(z[1]), np.inf, h)
+
+
+def _terms(p, q, a, d, bad: np.ndarray) -> _Terms:
+    x = _each(math.exp, -4.0 * q * a)
+    phase = p * d
+    return _Terms(
+        _each_finite(math.sin, phase, bad),
+        _each_finite(math.cos, phase, bad),
+        0.5 * (1.0 + x),
+        0.5 * (1.0 - x),
+        _each(math.exp, -2.0 * q * a),
+    )
+
+
+def _scaled_alpha_beta(k, p, q, t: _Terms):
     """Amplitude components alpha_m, beta_m scaled by e^{-2qa}.
 
     p is the gap wavenumber and q the barrier decay constant, both already
-    shifted by the coupling; k is the fixed exterior wavenumber.
+    shifted by the coupling; k is the fixed exterior wavenumber; t holds
+    the terms of p and q.
     """
-    ch, sh, nh = _scaled_hyperbolics(q, a)
-    sin_pd = math.sin(p * d)
-    cos_pd = math.cos(p * d)
-    alpha = 2.0 * k * q * (2.0 * p * q * cos_pd * ch + (q * q - p * p) * sin_pd * sh)
+    alpha = 2.0 * k * q * (2.0 * p * q * t.cos * t.ch + (q * q - p * p) * t.sin * t.sh)
     beta = (
-        -(k * k + q * q) * (p * p + q * q) * sin_pd * nh
-        + 2.0 * p * q * (q * q - k * k) * cos_pd * sh
-        + (q * q - p * p) * (q * q - k * k) * sin_pd * ch
+        -(k * k + q * q) * (p * p + q * q) * t.sin * t.nh
+        + 2.0 * p * q * (q * q - k * k) * t.cos * t.sh
+        + (q * q - p * p) * (q * q - k * k) * t.sin * t.ch
     )
     return alpha, beta
 
 
-def _scaled_gammas(k: float, q: float, a: float, d: float) -> tuple[float, float, float, float]:
+def _scaled_gammas(k, q, a, d, t: _Terms, bad: np.ndarray):
     """Zero-coupling derivatives of (alpha, beta), scaled by e^{-2qa}.
 
     gamma1 = d beta / d p, gamma2 = d alpha / d p (gap wavenumber),
     gamma3 = d beta / d q, gamma4 = d alpha / d q (barrier decay),
-    all evaluated at p = k.
+    all evaluated at p = k; t holds the terms of k and q.
     """
-    ch, sh, nh = _scaled_hyperbolics(q, a)
+    ch, sh, nh = t.ch, t.sh, t.nh
     k2, q2 = k * k, q * q
-    sin_kd = math.sin(k * d)
-    cos_kd = math.cos(k * d)
+    sin_kd, cos_kd = t.sin, t.cos
+    sum2 = _square(q2 + k2, bad)
+    diff2 = _square(q2 - k2, bad)
     g1 = (
-        (-2.0 * k * (q2 + k2) * sin_kd - d * (q2 + k2) ** 2 * cos_kd) * nh
+        (-2.0 * k * (q2 + k2) * sin_kd - d * sum2 * cos_kd) * nh
         + 2.0 * q * (q2 - k2) * cos_kd * sh
         - 2.0 * q * k * d * (q2 - k2) * sin_kd * sh
         - 2.0 * k * (q2 - k2) * sin_kd * ch
-        + d * (q2 - k2) ** 2 * cos_kd * ch
+        + d * diff2 * cos_kd * ch
     )
     g2 = (
         2.0
@@ -188,7 +327,7 @@ def _scaled_gammas(k: float, q: float, a: float, d: float) -> tuple[float, float
         + 2.0 * k * (3.0 * q2 - k2) * cos_kd * sh
         + 4.0 * k * q * a * (q2 - k2) * cos_kd * ch
         + 4.0 * q * (q2 - k2) * sin_kd * ch
-        + 2.0 * a * (q2 - k2) ** 2 * sin_kd * sh
+        + 2.0 * a * diff2 * sin_kd * sh
     )
     g4 = (
         2.0
@@ -201,6 +340,101 @@ def _scaled_gammas(k: float, q: float, a: float, d: float) -> tuple[float, float
         )
     )
     return g1, g2, g3, g4
+
+
+def _times(k, q, a, d, units: UnitsConfig, t: _Terms, bad: np.ndarray):
+    """(t_whole, t_between, t_barriers, t_opaque, t_between_asymptotic);
+    marks bad where a time is not finite or the arithmetic would raise."""
+    m, hbar = units.mass, units.hbar
+    alpha, beta = _scaled_alpha_beta(k, k, q, t)
+    g1, g2, g3, g4 = _scaled_gammas(k, q, a, d, t, bad)
+    h1 = alpha * g1 - beta * g2
+    h2 = alpha * g3 - beta * g4
+    denom = alpha * alpha + beta * beta
+    t_between = -(m / (hbar * k)) * h1 / denom
+    t_barriers = (m / (hbar * q)) * h2 / denom
+    t_whole = t_between + t_barriers
+    k2, q2 = k * k, q * q
+    t_opaque = 2.0 * m * k / (hbar * q * (k2 + q2))
+    # A zero divisor above, where the scalar arithmetic raises, leaves its
+    # time infinite or NaN, so this check covers it.
+    for value in (t_whole, t_between, t_barriers, t_opaque):
+        bad |= ~np.isfinite(value)
+
+    sin_kd, cos_kd = t.sin, t.cos
+    res_den = (k2 - q2) * sin_kd - 2.0 * k * q * cos_kd
+    # The asymptotic form is NaN near a resonance and evaluated elsewhere,
+    # NaN res_den included.
+    far = ~(np.abs(res_den) < RESONANCE_DENOMINATOR_CUTOFF * (k2 + q2))
+    numer = (
+        2.0 * k * d * (k2 + q2)
+        + 4.0 * k * q * sin_kd * sin_kd
+        + (k2 - q2) * _each_finite(math.sin, np.where(far, 2.0 * k * d, 0.0), bad)
+    )
+    res_den2 = res_den * res_den
+    # The finiteness check above does not see t_asym. Its other divisor,
+    # k2 + q2, is zero only where t_opaque is already not finite.
+    bad |= far & (res_den2 == 0.0)
+    t_asym = (4.0 * m * q2 / hbar) * t.nh / (k2 + q2) * numer / res_den2
+    return t_whole, t_between, t_barriers, t_opaque, np.where(far, t_asym, np.nan)
+
+
+def _amplitude(k, p, q, a, d, t: _Terms, bad: np.ndarray):
+    """Transmission amplitude (real, imag) with the region (0, 2a+d)
+    shifted to gap wavenumber p and barrier decay q; t holds their terms."""
+    nh = t.nh
+    # Denominator scaled by e^{-2qa}; the amplitude carries the inverse
+    # factor explicitly, so nothing overflows for wide barriers.
+    real = 2.0 * t.sin * (k * k + q * q) * (p * p + q * q) * nh
+    mixed = 2.0 * p * q * t.cos + (p * p - q * q) * t.sin
+    plain = 2.0 * p * q * t.cos - (p * p - q * q) * t.sin
+    # k - 1j * q and q - 1j * k, with 1j * x taken as (0, 1) * (x, 0).
+    iq, ik = _cmul((0.0, 1.0), (q, 0.0)), _cmul((0.0, 1.0), (k, 0.0))
+    first = _cmul(_csquare((k - iq[0], 0.0 - iq[1]), bad), (mixed, 0.0))
+    first = _cmul(_cmul(first, (nh, 0.0)), (nh, 0.0))
+    second = _cmul(_csquare((q - ik[0], 0.0 - ik[1]), bad), (plain, 0.0))
+    denom = (real - first[0] - second[0], 0.0 - first[1] - second[1])
+
+    numer = _cmul((0.0, 8.0), (k, 0.0))
+    for factor in (p, q, q):
+        numer = _cmul(numer, (factor, 0.0))
+    phase = _cmul(_cmul((-0.0, -1.0), (2.0 * a + d, 0.0)), (k, 0.0))
+    numer = _cmul(_cmul(numer, _cexp(phase, bad)), (nh, 0.0))
+    return _cdiv(numer, denom, bad)
+
+
+def _proximity(k, q, d, bad: np.ndarray) -> np.ndarray:
+    phi0 = _each(math.atan2, 2.0 * k * q, k * k - q * q)
+    return np.abs(_each_finite(math.sin, k * d - phi0, bad))
+
+
+def grid(V0, a, d, E, units: UnitsConfig = NATURAL_UNITS) -> DoubleBarrierGrid:
+    """Times, transmission probability and resonance proximity at every
+    parameter set of a grid.
+
+    V0, a, d and E are floats or arrays of one length; each element of the
+    result equals the point functions at that set bit for bit, and a set
+    where they raise (out of the tunneling regime, or out of the float
+    range) is marked in ok instead.
+    """
+    V0, a, d, E = _arrays(V0, a, d, E)
+    m, hbar = units.mass, units.hbar
+    with np.errstate(all="ignore"):
+        ok = (np.isfinite(V0) & np.isfinite(a) & np.isfinite(d) & np.isfinite(E)
+              & (a > 0) & (d > 0) & (0 < E) & (E < V0))
+        # Sets outside the regime are evaluated at a stand-in and masked.
+        V0, E = np.where(ok, V0, 2.0), np.where(ok, E, 1.0)
+        a, d = np.where(ok, a, 1.0), np.where(ok, d, 1.0)
+        bad = ~ok
+        k = np.sqrt(2.0 * m * E) / hbar
+        q = np.sqrt(2.0 * m * (V0 - E)) / hbar
+        t = _terms(k, q, a, d, bad)
+        t_whole, t_between, t_barriers, t_opaque, _ = _times(k, q, a, d, units, t, bad)
+        trans_prob = _square(_cabs(_amplitude(k, k, q, a, d, t, bad), bad), bad)
+        proximity = _proximity(k, q, d, bad)
+    return DoubleBarrierGrid(
+        t_whole, t_between, t_barriers, t_opaque, trans_prob, proximity, ~bad
+    )
 
 
 def _shifted_wavenumbers(params: DoubleBarrierParams, coupling: float) -> tuple[float, float]:
@@ -223,65 +457,13 @@ def _shifted_wavenumbers(params: DoubleBarrierParams, coupling: float) -> tuple[
 def perturbed_amplitude(params: DoubleBarrierParams, coupling: float = 0.0) -> complex:
     """Transmission amplitude with the whole region (0, 2a+d) shifted by coupling."""
     p, q = _shifted_wavenumbers(params, coupling)
-    k = params.k
-    a, d = params.a, params.d
-    sin_pd = math.sin(p * d)
-    cos_pd = math.cos(p * d)
-    nh = math.exp(-2.0 * q * a)
-    # Denominator scaled by e^{-2qa}; the amplitude carries the inverse
-    # factor explicitly, so nothing overflows for wide barriers.
-    denom = (
-        2.0 * sin_pd * (k * k + q * q) * (p * p + q * q) * nh
-        - (k - 1j * q) ** 2
-        * (2.0 * p * q * cos_pd + (p * p - q * q) * sin_pd)
-        * nh
-        * nh
-        - (q - 1j * k) ** 2 * (2.0 * p * q * cos_pd - (p * p - q * q) * sin_pd)
-    )
-    numer = 8j * k * p * q * q * cmath.exp(-1j * (2.0 * a + d) * k) * nh
-    return numer / denom
-
-
-def perturbed_alpha_beta(params: DoubleBarrierParams, coupling: float = 0.0) -> tuple[float, float]:
-    """Components (alpha, beta) of the transmission phase at the given coupling.
-
-    Both are scaled by a common positive factor e^{-2qa}, which leaves the
-    phase atan2(beta, alpha) unchanged and keeps wide barriers finite.
-    """
-    p, q = _shifted_wavenumbers(params, coupling)
-    return _scaled_alpha_beta(params.k, p, q, params.a, params.d)
-
-
-def perturbed_phase(params: DoubleBarrierParams, coupling: float = 0.0) -> float:
-    """Transmission phase -(2a+d)k - atan2(beta, alpha), branch continuous from zero coupling.
-
-    The branch is chosen so the phase varies continuously as the coupling
-    moves away from zero within its validity window.
-    """
-    alpha0, beta0 = perturbed_alpha_beta(params, 0.0)
-    alpha, beta = perturbed_alpha_beta(params, coupling)
-    base = math.atan2(beta0, alpha0)
-    step = math.remainder(math.atan2(beta, alpha) - base, math.tau)
-    return -(2.0 * params.a + params.d) * params.k - (base + step)
-
-
-def auxiliaries(params: DoubleBarrierParams) -> AuxiliaryValues:
-    """Unscaled auxiliary values; these overflow above 2qa of roughly 700."""
-    k, q = params.k, params.q
-    alpha, beta = _scaled_alpha_beta(k, k, q, params.a, params.d)
-    g1, g2, g3, g4 = _scaled_gammas(k, q, params.a, params.d)
-    scale = math.exp(2.0 * q * params.a)
-    scale2 = scale * scale
-    return AuxiliaryValues(
-        alpha0=alpha * scale,
-        beta0=beta * scale,
-        gamma1=g1 * scale,
-        gamma2=g2 * scale,
-        gamma3=g3 * scale,
-        gamma4=g4 * scale,
-        h1=(alpha * g1 - beta * g2) * scale2,
-        h2=(alpha * g3 - beta * g4) * scale2,
-    )
+    k, p, q, a, d = _arrays(params.k, p, q, params.a, params.d)
+    bad = np.zeros(1, bool)
+    with np.errstate(all="ignore"):
+        re, im = _amplitude(k, p, q, a, d, _terms(p, q, a, d, bad), bad)
+    if bad[0]:
+        raise params.float_range_error("amplitude values")
+    return complex(re[0], im[0])
 
 
 def times(params: DoubleBarrierParams) -> DoubleBarrierTimes:
@@ -295,62 +477,13 @@ def times(params: DoubleBarrierParams) -> DoubleBarrierTimes:
     barriers so tall that the auxiliaries overflow, energies so small that
     their denominator vanishes, or wavenumbers that are not finite.
     """
-    try:
-        t = _times(params)
-        finite = all(
-            map(math.isfinite, (t.t_whole, t.t_between, t.t_barriers, t.t_opaque))
-        )
-    except (ArithmeticError, ValueError):
-        # ValueError: math.sin of an infinite phase.
-        finite = False
-    if not finite:
-        raise InvalidParameterError(
-            f"closed-form times leave the float range at E={params.E}, "
-            f"V0={params.V0}, a={params.a}, d={params.d}"
-        )
-    return t
-
-
-def _times(params: DoubleBarrierParams) -> DoubleBarrierTimes:
-    k, q = params.k, params.q
-    a, d = params.a, params.d
-    m, hbar = params.units.mass, params.units.hbar
-    alpha, beta = _scaled_alpha_beta(k, k, q, a, d)
-    g1, g2, g3, g4 = _scaled_gammas(k, q, a, d)
-    h1 = alpha * g1 - beta * g2
-    h2 = alpha * g3 - beta * g4
-    denom = alpha * alpha + beta * beta
-    t_between = -(m / (hbar * k)) * h1 / denom
-    t_barriers = (m / (hbar * q)) * h2 / denom
-    t_whole = t_between + t_barriers
-    k2, q2 = k * k, q * q
-    t_opaque = 2.0 * m * k / (hbar * q * (k2 + q2))
-
-    sin_kd = math.sin(k * d)
-    cos_kd = math.cos(k * d)
-    res_den = (k2 - q2) * sin_kd - 2.0 * k * q * cos_kd
-    if abs(res_den) < RESONANCE_DENOMINATOR_CUTOFF * (k2 + q2):
-        t_asym = math.nan
-    else:
-        numer = (
-            2.0 * k * d * (k2 + q2)
-            + 4.0 * k * q * sin_kd * sin_kd
-            + (k2 - q2) * math.sin(2.0 * k * d)
-        )
-        t_asym = (
-            (4.0 * m * q2 / hbar)
-            * math.exp(-2.0 * q * a)
-            / (k2 + q2)
-            * numer
-            / (res_den * res_den)
-        )
-    return DoubleBarrierTimes(
-        t_whole=t_whole,
-        t_between=t_between,
-        t_barriers=t_barriers,
-        t_opaque=t_opaque,
-        t_between_asymptotic=t_asym,
-    )
+    k, q, a, d = _arrays(params.k, params.q, params.a, params.d)
+    bad = np.zeros(1, bool)
+    with np.errstate(all="ignore"):
+        values = _times(k, q, a, d, params.units, _terms(k, q, a, d, bad), bad)
+    if bad[0]:
+        raise params.float_range_error()
+    return DoubleBarrierTimes(*(float(v[0]) for v in values))
 
 
 def opaque_limit_gap(params: DoubleBarrierParams) -> float:
@@ -368,9 +501,13 @@ def resonance_proximity(params: DoubleBarrierParams) -> float:
     near-resonance terms are enhanced, so the proximity is directly the
     relevant smallness scale. Range [0, 1]; 0 exactly on resonance.
     """
-    k, q = params.k, params.q
-    phi0 = math.atan2(2.0 * k * q, k * k - q * q)
-    return abs(math.sin(k * params.d - phi0))
+    k, q, d = _arrays(params.k, params.q, params.d)
+    bad = np.zeros(1, bool)
+    with np.errstate(all="ignore"):
+        proximity = _proximity(k, q, d, bad)
+    if bad[0]:
+        raise params.float_range_error("proximity values")
+    return float(proximity[0])
 
 
 def near_resonance(

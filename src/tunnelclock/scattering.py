@@ -292,6 +292,12 @@ def wavefunction_derivative_at(solution: ScatteringSolution, z: float) -> comple
     return solution.regions[_region_index(solution, z)].derivative(z)
 
 
+def _phase_range_error() -> InvalidParameterError:
+    return InvalidParameterError(
+        "the phase k*z across the clock region leaves the float range"
+    )
+
+
 def _density_integral(rw: RegionWave, u1: float, u2: float) -> float:
     """Integral of |psi|^2 over local coordinates [u1, u2] of one region."""
     a, b, kappa = rw.a, rw.b, rw.kappa
@@ -300,12 +306,16 @@ def _density_integral(rw: RegionWave, u1: float, u2: float) -> float:
         kr = kappa.real
         # |A|^2 + |B|^2 plus an oscillatory cross term; the half-angle form
         # of e^{2ik u2} - e^{2ik u1} avoids cancellation for small widths.
-        cross = (
-            2.0
-            * math.sin(kr * du)
-            / kr
-            * (a * b.conjugate() * cmath.exp(1j * kr * (u1 + u2))).real
-        )
+        try:
+            cross = (
+                2.0
+                * math.sin(kr * du)
+                / kr
+                * (a * b.conjugate() * cmath.exp(1j * kr * (u1 + u2))).real
+            )
+        except (ValueError, OverflowError):
+            # The sine or exponential of an infinite phase.
+            raise _phase_range_error() from None
         return (abs(a) ** 2 + abs(b) ** 2) * du + cross
     q = kappa.imag
     # Evanescent: |A|^2 e^{-2qu} + |B|^2 e^{2qu} + 2 Re(A conj(B)).
@@ -330,11 +340,15 @@ def _exp_integral(log_coef: complex, rate: complex, u1: float, u2: float) -> com
         return cmath.exp(log_coef) * (u2 - u1)
     half = 0.5 * rate * (u2 - u1)
     mid = log_coef + 0.5 * rate * (u1 + u2)
-    if abs(half.real) < 1.0:
-        return cmath.exp(mid) * 2.0 * cmath.sinh(half) / rate
-    sign = 1.0 if half.real > 0 else -1.0
-    far_end = cmath.exp(mid + sign * half)
-    return sign * far_end * (1.0 - cmath.exp(-2.0 * sign * half)) / rate
+    try:
+        if abs(half.real) < 1.0:
+            return cmath.exp(mid) * 2.0 * cmath.sinh(half) / rate
+        sign = 1.0 if half.real > 0 else -1.0
+        far_end = cmath.exp(mid + sign * half)
+        return sign * far_end * (1.0 - cmath.exp(-2.0 * sign * half)) / rate
+    except (ValueError, OverflowError):
+        # An infinite phase, or an exponent past the float range.
+        raise _phase_range_error() from None
 
 
 def _product_integral(w1: RegionWave, w2: RegionWave, z1: float, z2: float) -> complex:

@@ -335,6 +335,16 @@ GOLDEN_SHA256 = [
     ("clock-sim --N 201 --tau 40000 --halvings 2 --E 0.01 --V0 0.018 --a 10 --d 10"
      " --z1 4 --z2 27.5",
      "42542bd3e94f229646e8f23b90cb799e6116b63c3ae40acf9911b7bdb90207e5"),
+    # long grids and grids that span the float range, recorded with the
+    # per-point scalar closed forms before they became one array pass
+    ("fig1 --panel a --count 20000",
+     "d4b80cf39611b580bd2818aa8ae1e020023f32cb3aac5e7779eae71f452a22b6"),
+    ("fig1 --panel b --count 20000 --mass 3 --hbar 0.37",
+     "82eaa18d7f3e247cc8ea875c0675a12c997aec810ddcc17b053e3364e98743d2"),
+    ("sweep --axis a --start 1e-300 --stop 1e300 --count 9 --E 0.01 --V0 0.018 --d 10",
+     "298cb02e5dfb7c49b354649372d09e80dd94aaa7e8d377a0962f645aab5c5c4e"),
+    ("sweep --axis E --start 1e-320 --stop 1e-300 --count 7 --V0 0.018 --a 10 --d 10",
+     "038884f8f33b1a855b756665867ea5e8fe5431e67ff69dc2d254b07f4b1aac39"),
 ]
 
 
@@ -583,6 +593,9 @@ FLOAT_RANGE_EDGES = [
     # 2.0**1024 overflowed; doubling tau reaches these rows exactly
     ("clock-sim --N 3 --tau 1e-300 --halvings 1100"
      " --E 0.01 --V0 0.018 --a 10 --d 10", 0),
+    # k*z overflows in the density integral, and in the overlap integrals
+    ("times --potential {pot} --E 0.009 --z1 0 --z2 1e300 --hbar 1e-10", 2),
+    ("times --potential {pot} --E 0.009 --z1 -1e300 --z2 5 --hbar 1e-10", 2),
 ]
 
 

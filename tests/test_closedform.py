@@ -1,22 +1,21 @@
 """Closed-form double-barrier times against the scattering engine and
 against finite differences of independently transcribed amplitude parts."""
 
+import cmath
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tunnelclock import closedform
 from tunnelclock.closedform import (
     NEAR_RESONANCE_CUTOFF,
-    AuxiliaryValues,
     DoubleBarrierParams,
     asymptotic_agreement,
-    auxiliaries,
     near_resonance,
     opaque_limit_gap,
-    perturbed_alpha_beta,
     perturbed_amplitude,
-    perturbed_phase,
     resonance_proximity,
     times,
 )
@@ -97,28 +96,30 @@ def test_perturbed_amplitude_matches_engine_on_shifted_potential():
     )
 
 
+def _phase(params, coupling=0.0):
+    return cmath.phase(perturbed_amplitude(params, coupling))
+
+
 def test_phase_matches_engine():
     p = DoubleBarrierParams(**BASE)
     sol = solve(double_barrier(p.V0, p.a, p.d), p.E)
-    delta = math.remainder(
-        perturbed_phase(p) - transmission_phase(sol), math.tau
-    )
+    delta = math.remainder(_phase(p) - transmission_phase(sol), math.tau)
     assert delta == pytest.approx(0.0, abs=1e-10)
 
 
-def test_phase_branch_continuous_in_coupling():
+def test_phase_continuous_in_coupling():
     p = DoubleBarrierParams(**BASE)
     couplings = [i * 2e-5 for i in range(-25, 26)]
-    vals = [perturbed_phase(p, c) for c in couplings]
+    vals = [_phase(p, c) for c in couplings]
     for prev, cur in zip(vals, vals[1:]):
-        assert abs(cur - prev) < 0.1
+        assert abs(math.remainder(cur - prev, math.tau)) < 0.1
 
 
 def test_phase_derivative_reproduces_t_whole():
     p = DoubleBarrierParams(**BASE)
     t = times(p)
     h = 1e-8
-    fd = (perturbed_phase(p, h) - perturbed_phase(p, -h)) / (2.0 * h)
+    fd = math.remainder(_phase(p, h) - _phase(p, -h), math.tau) / (2.0 * h)
     assert -fd == pytest.approx(t.t_whole, rel=1e-6)
 
 
@@ -195,24 +196,27 @@ def test_gammas_match_finite_differences(a, d, E):
     k, q = p.k, p.q
     alpha = _unscaled_alpha(k, a, d)
     beta = _unscaled_beta(k, a, d)
-    aux = auxiliaries(p)
-    assert aux.alpha0 == pytest.approx(alpha(k, q), rel=1e-12)
-    assert aux.beta0 == pytest.approx(beta(k, q), rel=1e-12)
+    ks, qs, as_, ds = (np.array([x]) for x in (k, q, a, d))
+    bad = np.zeros(1, bool)
+    terms = closedform._terms(ks, qs, as_, ds, bad)
+    scaled = (
+        *closedform._scaled_alpha_beta(ks, ks, qs, terms),
+        *closedform._scaled_gammas(ks, qs, as_, ds, terms, bad),
+    )
+    assert not bad[0]
+    scale = math.exp(2.0 * q * a)
+    alpha0, beta0, *gammas = (float(x[0]) * scale for x in scaled)
+    assert alpha0 == pytest.approx(alpha(k, q), rel=1e-12)
+    assert beta0 == pytest.approx(beta(k, q), rel=1e-12)
     h = 1e-6
-    fd = {
-        "gamma1": (beta(k + h, q) - beta(k - h, q)) / (2.0 * h),
-        "gamma2": (alpha(k + h, q) - alpha(k - h, q)) / (2.0 * h),
-        "gamma3": (beta(k, q + h) - beta(k, q - h)) / (2.0 * h),
-        "gamma4": (alpha(k, q + h) - alpha(k, q - h)) / (2.0 * h),
-    }
-    for name, ref in fd.items():
-        assert getattr(aux, name) == pytest.approx(ref, rel=1e-6), name
-    assert aux.h1 == pytest.approx(
-        aux.alpha0 * aux.gamma1 - aux.beta0 * aux.gamma2, rel=1e-12
-    )
-    assert aux.h2 == pytest.approx(
-        aux.alpha0 * aux.gamma3 - aux.beta0 * aux.gamma4, rel=1e-12
-    )
+    fd = [
+        (beta(k + h, q) - beta(k - h, q)) / (2.0 * h),
+        (alpha(k + h, q) - alpha(k - h, q)) / (2.0 * h),
+        (beta(k, q + h) - beta(k, q - h)) / (2.0 * h),
+        (alpha(k, q + h) - alpha(k, q - h)) / (2.0 * h),
+    ]
+    for index, (gamma, ref) in enumerate(zip(gammas, fd), start=1):
+        assert gamma == pytest.approx(ref, rel=1e-6), f"gamma{index}"
 
 
 def test_opaque_gap_shrinks_with_width():
@@ -333,26 +337,6 @@ def test_shifted_regime_validation():
     with pytest.raises(InvalidPerturbationError):
         perturbed_amplitude(p, -(p.V0 - p.E))  # barrier top touches E
     assert isinstance(perturbed_amplitude(p, 0.5 * p.E), complex)
-    with pytest.raises(InvalidPerturbationError):
-        perturbed_alpha_beta(p, p.E)
-
-
-def test_auxiliaries_type():
-    aux = auxiliaries(DoubleBarrierParams(**BASE))
-    assert isinstance(aux, AuxiliaryValues)
-    assert all(
-        math.isfinite(getattr(aux, f))
-        for f in (
-            "alpha0",
-            "beta0",
-            "gamma1",
-            "gamma2",
-            "gamma3",
-            "gamma4",
-            "h1",
-            "h2",
-        )
-    )
 
 
 @st.composite
