@@ -232,6 +232,12 @@ def cmd_times(args: argparse.Namespace) -> int:
 
 _AXES = ("d", "a", "E", "V0")
 
+# Grid points per array pass of a sweep. A pass holds some 60 arrays of
+# this length and the row lists at once, so blocks bound its memory;
+# every point is computed on its own, so any block size gives the same
+# rows.
+SWEEP_BLOCK_ROWS = 1024
+
 
 def _sweep_rows(
     axis: str,
@@ -243,10 +249,14 @@ def _sweep_rows(
 ) -> list[str]:
     """One double-barrier CSV row per grid point of the swept axis; an
     out-of-regime point gives a flagged NA row."""
+    grid = np.linspace(start, stop, count)
     point = dict(fixed)
-    point[axis] = np.linspace(start, stop, count)
-    lead = [point[axis]] + [point[name] for name in ("E", "V0", "a", "d")]
-    return _double_barrier_rows(lead, units)[0]
+    rows = []
+    for lo in range(0, count, SWEEP_BLOCK_ROWS):
+        point[axis] = grid[lo:lo + SWEEP_BLOCK_ROWS]
+        lead = [point[axis]] + [point[name] for name in ("E", "V0", "a", "d")]
+        rows += _double_barrier_rows(lead, units)[0]
+    return rows
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:

@@ -355,6 +355,15 @@ def test_golden_output(tmp_path, command, digest):
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
 
+def test_sweep_blocks_leave_the_rows_unchanged(tmp_path, monkeypatch):
+    # out-of-regime NA rows on both sides of block edges
+    argv = ("sweep --axis E --start -0.005 --stop 0.03 --count 25"
+            " --V0 0.018 --a 10 --d 10").split()
+    whole = run_to_file(tmp_path, argv)
+    monkeypatch.setattr(cli, "SWEEP_BLOCK_ROWS", 4)
+    assert run_to_file(tmp_path, argv) == whole
+
+
 def test_golden_clock_sim_potential_file(tmp_path, monkeypatch):
     # the output names the potential file, so run from its directory
     (tmp_path / "pot.txt").write_text(BARRIER_FILE, encoding="utf-8")
