@@ -165,13 +165,10 @@ def _double_barrier_rows(
     columns = [grid_text] * sum(on_grid) + [v.tolist() for v in values] + [flags.tolist()]
     rows = [template % row for row in zip(*columns)]
     for i in np.flatnonzero(slow):
+        ok = bool(g.ok[i])
         row = [float(c[i]) if is_grid else c for c, is_grid in zip(lead, on_grid)]
-        if g.ok[i]:
-            row += [float(v[i]) for v in values]
-        else:
-            row += [None] * len(values)
-        flag = int(flags[i]) if g.ok[i] else 1
-        rows[i] = ",".join(_fmt(v) for v in row) + f",{flag}"
+        row += [float(v[i]) if ok else None for v in values]
+        rows[i] = ",".join(map(_fmt, row)) + f",{int(flags[i]) if ok else 1}"
     return rows, g.ok
 
 
