@@ -23,18 +23,14 @@ import numpy as np
 from . import closedform, scattering
 from .checks import decomposition_suite
 from .clocktimes import clock_times
-from .errors import (
-    CouplingTooStrongError,
-    InvalidParameterError,
-    TunnelClockError,
-)
+from .errors import InvalidParameterError, TunnelClockError
 from .potentials import (
     ClockRegion,
     PiecewiseConstantPotential,
     UnitsConfig,
     double_barrier,
 )
-from .rotor import ClockRotor, measurement_simulation
+from .rotor import ClockRotor, measurement_series
 
 __all__ = ["main", "build_parser", "load_potential_file"]
 
@@ -333,8 +329,6 @@ def cmd_clock_sim(args: argparse.Namespace) -> int:
         source = f"V0={_fmt(args.V0)} a={_fmt(args.a)} d={_fmt(args.d)}"
     if args.E is None:
         raise InvalidParameterError("--E is required")
-    if args.halvings < 0:
-        raise InvalidParameterError(f"--halvings must be >= 0, got {args.halvings}")
     lo, hi = potential.support
     z1 = args.z1 if args.z1 is not None else lo
     z2 = args.z2 if args.z2 is not None else hi
@@ -349,27 +343,22 @@ def cmd_clock_sim(args: argparse.Namespace) -> int:
         f" N={args.N} tau={_fmt(args.tau)} halvings={args.halvings}",
         "omega,tau,t_read,spread,t_perturbative,trans_weight,flag",
     ]
-    tau = args.tau
-    for step in range(args.halvings + 1):
-        if step:
-            # Doubling is exact; past the float range ClockRotor rejects tau.
-            tau *= 2.0
-        rotor = ClockRotor(N=args.N, tau=tau)
-        try:
-            result = measurement_simulation(potential, region, args.E, rotor, units)
-        except CouplingTooStrongError:
-            row = [rotor.omega, tau, None, None, reference, None]
-            lines.append(",".join(_fmt(v) for v in row) + ",1")
-            continue
-        row = [
-            rotor.omega,
-            tau,
-            result.transmitted.t_read,
-            result.transmitted.spread,
-            reference,
-            result.transmitted_weight,
-        ]
-        lines.append(",".join(_fmt(v) for v in row) + ",0")
+    first = ClockRotor(N=args.N, tau=args.tau)
+    for rotor, result in measurement_series(
+        potential, region, args.E, first, args.halvings, units
+    ):
+        if result is None:
+            reading, flag = [None, None, reference, None], 1
+        else:
+            reading = [
+                result.transmitted.t_read,
+                result.transmitted.spread,
+                reference,
+                result.transmitted_weight,
+            ]
+            flag = 0
+        row = [rotor.omega, rotor.tau, *reading]
+        lines.append(",".join(_fmt(v) for v in row) + f",{flag}")
     _emit(lines, args.out)
     return 0
 

@@ -12,9 +12,22 @@ inside the clock region, level m sees the potential shifted by m*hbar*omega.
 The measurement simulation scatters each level off its own shifted
 potential and reads the transit time off the rotated pointer of the
 transmitted (and reflected) conditional clock states. The levels share the
-cut list of the shifted potentials; per level only the heights inside the
-region change, and only T and R are computed, by the backward sweep that
-scattering.solve runs, with every check solve makes.
+cut list of the shifted potentials, solve's energy checks and the
+wavenumbers outside the region; per level only the wavenumbers of the
+intervals inside the region change, with every check solve makes on them,
+and only T and R are computed, by the backward sweep that scattering.solve
+runs.
+
+A measurement series reads the clock over halved couplings: each row
+doubles tau. Doubling is exact in floating point, so omega and the shift
+scale hbar*omega of a row are exactly half those of the row before (short
+of subnormal underflow), and level 2m of a row has the shift
+float(2m)*(s/2) == float(m)*s of level m of the row before: every even
+level of a later row was already solved. The series keeps the previous
+row's (T, R) keyed by the exact bits of each shift, looks every level up
+there first and solves only what is missing, so each row equals its own
+measurement_simulation bit for bit; keying by bits rather than by float
+equality also holds where the shifts underflow to +-0.0.
 
 Pointer readings take the exact first trigonometric moment of the angular
 density and the time expectation one FFT of the amplitudes, so neither
@@ -25,6 +38,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +56,7 @@ from .potentials import (
     ClockRegion,
     PiecewiseConstantPotential,
     UnitsConfig,
+    _check_finite,
     _clock_cuts,
 )
 
@@ -55,6 +70,7 @@ __all__ = [
     "time_expectation",
     "read_pointer",
     "measurement_simulation",
+    "measurement_series",
     "COUPLING_WARNING_FRACTION",
 ]
 
@@ -120,14 +136,6 @@ class ClockState:
         amps = amps.copy()
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
-
-    @classmethod
-    def from_unnormalized(cls, amplitudes: np.ndarray) -> "ClockState":
-        amps = np.asarray(amplitudes, dtype=complex)
-        norm = float(np.linalg.norm(amps))
-        if norm == 0.0:
-            raise InvalidParameterError("cannot normalize a zero vector")
-        return cls(amps / norm)
 
 
 @dataclass(frozen=True)
@@ -226,26 +234,56 @@ def _coupling_bound(bases: list[float], inside: list[bool], energy: float) -> fl
     return bound
 
 
-def measurement_simulation(
+def _level_solver(
     potential: PiecewiseConstantPotential,
     region: ClockRegion,
     energy: float,
-    rotor: ClockRotor,
-    units: UnitsConfig = NATURAL_UNITS,
-) -> MeasurementResult:
-    """Scatter each clock level off its shifted potential and read the clock.
+    units: UnitsConfig,
+) -> tuple[float, Callable[[float], tuple[complex, complex]]]:
+    """The coupling bound, and a function from a level's shift to its (T, R).
 
-    The incoming product state has the clock at pointer zero, so level m
-    carries amplitude 1/sqrt(N). After scattering, the transmitted
-    conditional clock state has amplitudes T^(m)/sqrt(N) (reflected:
-    R^(m)/sqrt(N)); both are renormalized before reading. Levels are
-    processed in ascending m order, so results are deterministic.
+    The cut list, solve's energy checks, the free k and the wavenumbers of
+    the intervals outside the region are computed once. Per level only the
+    intervals inside the region get shifted heights, with the finiteness
+    check of a potential's heights and solve's wavenumber checks, before
+    the backward sweep that solve runs.
     """
-    # Every level shares the cut list; only the heights inside the region
-    # move with m.
     cuts, bases, inside = _clock_cuts(potential, region)
+    k = scattering._free_wavenumber(energy, units)
+    kappas = [
+        k,
+        *[None if hit else scattering._local_kappa(energy, base, units)
+          for base, hit in zip(bases, inside)],
+        k,
+    ]
+    moved = [(r, base) for r, (base, hit) in enumerate(zip(bases, inside), 1) if hit]
+
+    def level(strength: float) -> tuple[complex, complex]:
+        heights = [base + strength for _, base in moved]
+        _check_finite(heights)
+        for (r, _), height in zip(moved, heights):
+            kappas[r] = scattering._local_kappa(energy, height, units)
+        stored, logscale = scattering._sweep(kappas, cuts)
+        return scattering._amplitudes(kappas, cuts, stored, logscale)
+
+    return _coupling_bound(bases, inside, energy), level
+
+
+def _reading(
+    rotor: ClockRotor,
+    units: UnitsConfig,
+    bound: float,
+    level: Callable[[float], tuple[complex, complex]],
+    known: dict[str, tuple[complex, complex]],
+) -> tuple[MeasurementResult, dict[str, tuple[complex, complex]]]:
+    """One reading, and the (T, R) of its levels keyed by the exact bits of
+    their shifts. A level whose shift is in known takes its (T, R) from
+    there; every other level is solved once.
+
+    Only measurement_simulation and measurement_series call this, so the
+    coupling warning points at their caller.
+    """
     shift_scale = units.hbar * rotor.omega
-    bound = _coupling_bound(bases, inside, energy)
     largest = rotor.j * shift_scale
     if largest >= bound:
         raise CouplingTooStrongError(
@@ -258,16 +296,18 @@ def measurement_simulation(
             f"{COUPLING_WARNING_FRACTION:.0%} of the energy margin {bound}; "
             "readings pick up visible back-action",
             CouplingWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
 
+    # float.hex keeps 0.0 and -0.0 apart, which == would equate.
+    levels: dict[str, tuple[complex, complex]] = {}
     amplitudes = []
     for m in rotor.levels.tolist():
         strength = float(m) * shift_scale
-        heights = [base + strength if hit else base for base, hit in zip(bases, inside)]
-        amplitudes.append(
-            scattering._transmission_reflection(heights, cuts, energy, units)
-        )
+        key = strength.hex()
+        if key not in levels:
+            levels[key] = known[key] if key in known else level(strength)
+        amplitudes.append(levels[key])
     transmitted, reflected = (
         np.array(channel) / math.sqrt(rotor.N) for channel in zip(*amplitudes)
     )
@@ -289,9 +329,65 @@ def measurement_simulation(
         )
     else:
         r_reading = None
-    return MeasurementResult(
+    result = MeasurementResult(
         transmitted=t_reading,
         reflected=r_reading,
         transmitted_weight=t_weight,
         reflected_weight=r_weight,
     )
+    return result, levels
+
+
+def measurement_simulation(
+    potential: PiecewiseConstantPotential,
+    region: ClockRegion,
+    energy: float,
+    rotor: ClockRotor,
+    units: UnitsConfig = NATURAL_UNITS,
+) -> MeasurementResult:
+    """Scatter each clock level off its shifted potential and read the clock.
+
+    The incoming product state has the clock at pointer zero, so level m
+    carries amplitude 1/sqrt(N). After scattering, the transmitted
+    conditional clock state has amplitudes T^(m)/sqrt(N) (reflected:
+    R^(m)/sqrt(N)); both are renormalized before reading. Levels are
+    processed in ascending m order, so results are deterministic.
+
+    This is the one-row case of measurement_series, except that a coupling
+    too strong for the energy margin raises CouplingTooStrongError.
+    """
+    bound, level = _level_solver(potential, region, energy, units)
+    return _reading(rotor, units, bound, level, {})[0]
+
+
+def measurement_series(
+    potential: PiecewiseConstantPotential,
+    region: ClockRegion,
+    energy: float,
+    rotor: ClockRotor,
+    halvings: int,
+    units: UnitsConfig = NATURAL_UNITS,
+) -> list[tuple[ClockRotor, MeasurementResult | None]]:
+    """Readings over a series of halved couplings.
+
+    Row 0 reads the given rotor; each of the halvings rows after it doubles
+    tau, which halves omega and so the coupling. Each row is paired with
+    its rotor and is None where the coupling is too strong for the energy
+    margin. Every row equals its own measurement_simulation bit for bit;
+    the levels a row shares with the one before it are not solved again.
+    """
+    if halvings < 0:
+        raise InvalidParameterError(f"halvings must be >= 0, got {halvings}")
+    bound, level = _level_solver(potential, region, energy, units)
+    rows: list[tuple[ClockRotor, MeasurementResult | None]] = []
+    known: dict[str, tuple[complex, complex]] = {}
+    for step in range(halvings + 1):
+        if step:
+            # Doubling is exact; past the float range ClockRotor rejects tau.
+            rotor = ClockRotor(rotor.N, rotor.tau * 2.0)
+        try:
+            result, known = _reading(rotor, units, bound, level, known)
+        except CouplingTooStrongError:
+            result = None
+        rows.append((rotor, result))
+    return rows

@@ -33,7 +33,6 @@ from .potentials import (
     ClockRegion,
     PiecewiseConstantPotential,
     UnitsConfig,
-    _check_finite,
 )
 
 __all__ = [
@@ -121,40 +120,60 @@ class PhasePair:
     reflection: float
 
 
-def _local_kappa(energy: float, height: float, units: UnitsConfig) -> complex:
-    ksq = 2.0 * units.mass * (energy - height)
-    if ksq > 0.0:
-        return complex(math.sqrt(ksq) / units.hbar, 0.0)
-    return complex(0.0, math.sqrt(-ksq) / units.hbar)
+def _free_wavenumber(energy: float, units: UnitsConfig) -> complex:
+    """The free wavenumber k outside the potential.
 
-
-def _kappas(energy: float, heights, units: UnitsConfig) -> list[complex]:
-    """Local wavenumbers of the regions, the free k at both ends.
-
-    Raises DegenerateEnergyError when the energy exactly equals a region
-    height (zero local wavenumber) and InvalidParameterError for
-    non-positive energy, an infinite free wavenumber or a local one that
-    underflows to zero.
+    Raises InvalidParameterError for non-positive or non-finite energy and
+    for a k that leaves the float range or underflows to zero.
     """
     if not (isinstance(energy, (int, float)) and math.isfinite(energy) and energy > 0):
         raise InvalidParameterError(f"energy must be positive and finite, got {energy}")
-    if energy in heights:
-        raise DegenerateEnergyError(
-            f"energy {energy} equals a region height; local wavenumber vanishes"
-        )
     k = math.sqrt(2.0 * units.mass * energy) / units.hbar
     if not math.isfinite(k):
         raise InvalidParameterError(
             f"energy {energy} gives a wavenumber beyond the float range"
         )
-    kappas = [complex(k)]
-    kappas.extend(_local_kappa(energy, v, units) for v in heights)
-    kappas.append(complex(k))
-    if 0j in kappas:
+    if k == 0.0:
+        raise InvalidParameterError(
+            f"energy {energy} gives a wavenumber that underflows to zero"
+        )
+    return complex(k)
+
+
+def _local_kappa(energy: float, height: float, units: UnitsConfig) -> complex:
+    """Local wavenumber of a region: real where it propagates, +iq where
+    it is evanescent. Every local wavenumber is checked here.
+
+    Raises DegenerateEnergyError when the energy exactly equals the height
+    (zero local wavenumber) and InvalidParameterError for a wavenumber that
+    underflows to zero or leaves the float range.
+    """
+    if height == energy:
+        raise DegenerateEnergyError(
+            f"energy {energy} equals a region height; local wavenumber vanishes"
+        )
+    ksq = 2.0 * units.mass * (energy - height)
+    kappa = math.sqrt(abs(ksq)) / units.hbar
+    if kappa == 0.0:
         raise InvalidParameterError(
             f"energy {energy} gives a local wavenumber that underflows to zero"
         )
-    return kappas
+    if kappa == math.inf:
+        raise InvalidParameterError(
+            f"height {height} at energy {energy} gives a local wavenumber "
+            "beyond the float range"
+        )
+    return complex(kappa, 0.0) if ksq > 0.0 else complex(0.0, kappa)
+
+
+def _kappas(energy: float, heights, units: UnitsConfig) -> list[complex]:
+    """Local wavenumbers of the regions, the free k at both ends."""
+    k = _free_wavenumber(energy, units)
+    return [k, *[_local_kappa(energy, v, units) for v in heights], k]
+
+
+def _phase_range_error() -> InvalidParameterError:
+    return InvalidParameterError("a phase k*z leaves the float range")
 
 
 def _sweep(
@@ -166,6 +185,8 @@ def _sweep(
     edge, and the running log-scale they were divided by. Where a barrier's
     growth would overflow the exponential, the growth is folded into the
     log-scale before exponentiating; every other step keeps its bits.
+    Raises InvalidParameterError where a region's phase kappa*width or the
+    wave's growth across a region leaves the float range.
     """
     n = len(kappas) - 2
     stored: list[tuple[complex, complex]] = [(0j, 0j)] * (n + 2)
@@ -182,6 +203,9 @@ def _sweep(
             try:
                 amp_f = _scaled_exp(edge_f, -1j * kappas[r] * width)
                 amp_b = _scaled_exp(edge_b, 1j * kappas[r] * width)
+            except ValueError:
+                # The exponential of an infinite phase.
+                raise _phase_range_error() from None
             except OverflowError:
                 # Only the forward term grows, by e^{q width} in a barrier.
                 fold = kappas[r].imag * width + math.log(max(abs(edge_f), abs(edge_b)))
@@ -192,6 +216,11 @@ def _sweep(
             amp_f, amp_b = edge_f, edge_b
         peak = max(abs(amp_f), abs(amp_b))
         if peak > _RESCALE_LIMIT:
+            if peak == math.inf:
+                # e^{q width} of an infinite q*width, say.
+                raise InvalidParameterError(
+                    "the wave's growth across a region leaves the float range"
+                )
             amp_f /= peak
             amp_b /= peak
             scale += math.log(peak)
@@ -210,26 +239,16 @@ def _amplitudes(
     outermost regions by."""
     k = kappas[0].real
     inc = stored[0][0]
-    phase0 = cmath.exp(1j * k * bp[0])
+    try:
+        phase0 = cmath.exp(1j * k * bp[0])
+        phase_last = cmath.exp(-1j * k * bp[-1])
+    except ValueError:
+        # The exponential of an infinite phase.
+        raise _phase_range_error() from None
     factor_last = math.exp(logscale[-1] - logscale[0]) / inc * phase0
-    transmission = stored[-1][0] * factor_last * cmath.exp(-1j * k * bp[-1])
-    reflection = stored[0][1] * (1.0 / inc * phase0) * cmath.exp(1j * k * bp[0])
+    transmission = stored[-1][0] * factor_last * phase_last
+    reflection = stored[0][1] * (1.0 / inc * phase0) * phase0
     return transmission, reflection
-
-
-def _transmission_reflection(
-    heights: list[float], breakpoints: tuple[float, ...], energy: float, units: UnitsConfig
-) -> tuple[complex, complex]:
-    """T and R of solve on these heights, bit for bit, without building
-    the potential, the region waves or the solution.
-
-    The heights get the potential's finiteness check and the energy gets
-    solve's checks; the breakpoints must already be strictly increasing.
-    """
-    _check_finite(heights)
-    kappas = _kappas(energy, heights, units)
-    stored, logscale = _sweep(kappas, breakpoints)
-    return _amplitudes(kappas, breakpoints, stored, logscale)
 
 
 def solve(
@@ -241,13 +260,15 @@ def solve(
 
     Raises DegenerateEnergyError when the energy exactly equals a region
     height (zero local wavenumber) and InvalidParameterError for
-    non-positive energy.
+    non-positive energy or a wavenumber that underflows to zero or leaves
+    the float range.
     """
     kappas = _kappas(energy, potential.heights, units)
     bp = potential.breakpoints
     n = len(potential.heights)
     k = kappas[0].real
     stored, logscale = _sweep(kappas, bp)
+    transmission, reflection = _amplitudes(kappas, bp, stored, logscale)
 
     # Normalize to unit incident amplitude and to the global e^{ikz} phase
     # convention. logscale[0] is the largest scale, so the exponentials
@@ -266,7 +287,6 @@ def solve(
             lo, hi, anchor = bp[-1], math.inf, bp[-1]
         regions.append(RegionWave(lo, hi, anchor, kappas[r], f * factor, b * factor))
 
-    transmission, reflection = _amplitudes(kappas, bp, stored, logscale)
     return ScatteringSolution(
         energy=float(energy),
         wavenumber=k,
@@ -290,12 +310,6 @@ def wavefunction_at(solution: ScatteringSolution, z: float) -> complex:
 def wavefunction_derivative_at(solution: ScatteringSolution, z: float) -> complex:
     """d psi / dz at z, same region convention as wavefunction_at."""
     return solution.regions[_region_index(solution, z)].derivative(z)
-
-
-def _phase_range_error() -> InvalidParameterError:
-    return InvalidParameterError(
-        "the phase k*z across the clock region leaves the float range"
-    )
 
 
 def _density_integral(rw: RegionWave, u1: float, u2: float) -> float:

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -578,6 +579,30 @@ def test_clock_sim_shift_onto_the_energy_is_flagged(tmp_path):
     _, rows = parse_csv(text)
     assert rows[0][2] == "NA" and rows[0][-1] == "1"
     assert rows[1][-1] == "0"
+
+
+INFINITE_KAPPA_FILE = """\
+breakpoint 0.0
+height 1.7976931348623157e308
+breakpoint 1.0
+"""
+
+
+@pytest.mark.parametrize("command", [
+    "times --potential {pot} --E 1e300 --z1 0 --z2 1",
+    "clock-sim --N 3 --tau 1 --halvings 1 --E 1e300 --potential {pot}",
+])
+def test_infinite_local_wavenumber_exits_2(tmp_path, capsys, command):
+    # 2m(V - E) overflows: the region's wavenumber is rejected instead of
+    # giving T = R = nan (an all-NA row, or a reading row with flag 0)
+    pot_file = tmp_path / "inf.txt"
+    pot_file.write_text(INFINITE_KAPPA_FILE, encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(command.format(pot=pot_file).split())
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("tunnelclock:") and "beyond the float range" in err
 
 
 # Extreme values that used to end in a raw Python exception (a negative

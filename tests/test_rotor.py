@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from tunnelclock import scattering
+from tunnelclock import cli, scattering
 from tunnelclock.clocktimes import clock_times
 from tunnelclock.errors import (
     CouplingTooStrongError,
@@ -31,12 +31,19 @@ from tunnelclock.rotor import (
     PointerReading,
     basis_state,
     evolve,
+    measurement_series,
     measurement_simulation,
     read_pointer,
     time_expectation,
 )
 
 ROTOR = ClockRotor(21, 1.0)
+
+
+def normalized(amplitudes):
+    """The clock state along the direction of a nonzero vector."""
+    amps = np.asarray(amplitudes, dtype=complex)
+    return ClockState(amps / np.linalg.norm(amps))
 
 
 def fidelity(a, b):
@@ -65,9 +72,7 @@ def test_state_validation():
         ClockState(np.ones(21))  # not normalized
     with pytest.raises(InvalidParameterError):
         ClockState(np.ones(4) / 2.0)  # even length
-    with pytest.raises(InvalidParameterError):
-        ClockState.from_unnormalized(np.zeros(21))
-    state = ClockState.from_unnormalized(np.ones(21))
+    state = normalized(np.ones(21))
     assert np.linalg.norm(state.amplitudes) == pytest.approx(1.0, abs=1e-15)
     with pytest.raises(ValueError):
         state.amplitudes[0] = 1.0  # frozen buffer
@@ -98,7 +103,7 @@ def test_rigid_stepping():
 
 
 def test_periodicity():
-    state = ClockState.from_unnormalized(
+    state = normalized(
         np.exp(1j * np.linspace(0.0, 2.0, 21)) * np.linspace(1.0, 2.0, 21)
     )
     looped = evolve(ROTOR, state, ROTOR.N * ROTOR.tau)
@@ -143,7 +148,7 @@ def test_time_expectation_matches_overlap_matrix(n):
     rng = np.random.default_rng(n)
     states = [basis_state(rotor, n // 3), evolve(rotor, basis_state(rotor, 0), 7.5)]
     states += [
-        ClockState.from_unnormalized(rng.normal(size=n) + 1j * rng.normal(size=n))
+        normalized(rng.normal(size=n) + 1j * rng.normal(size=n))
         for _ in range(3)
     ]
     for state in states:
@@ -194,7 +199,7 @@ def test_read_pointer_matches_angular_grid(n):
         # a peaked state rotated by a random time, plus random noise
         peaked = evolve(rotor, basis_state(rotor, 0), rng.uniform(0, n * 3.0))
         noise = rng.normal(size=n) + 1j * rng.normal(size=n)
-        state = ClockState.from_unnormalized(peaked.amplitudes + noise_level * noise)
+        state = normalized(peaked.amplitudes + noise_level * noise)
         reading = read_pointer(rotor, state)
         angle, spread = grid_reading(rotor, state)
         assert reading.t_read * rotor.omega == pytest.approx(angle, abs=1e-12)
@@ -362,10 +367,160 @@ def test_barrier_outside_the_region_leaves_the_coupling_free():
 
 def test_level_shifted_past_float_range_is_rejected():
     # the top level adds 5e299 to the largest float: the shifted height
-    # is not finite, as perturb's potential would report
+    # is not finite, as perturb's potential would report. With mass 0.25
+    # the wavenumbers of the two lower levels, 2m|V - E| ~ 0.9e308, stay
+    # in the float range, so the shifted height is what gets rejected.
     rotor = ClockRotor(3, math.tau / 1.5e300)
     potential = PiecewiseConstantPotential((0.0, 1.0), (sys.float_info.max,))
+    units = UnitsConfig(mass=0.25)
     with pytest.warns(CouplingWarning), pytest.raises(
         InvalidParameterError, match="must be finite"
     ):
+        measurement_simulation(potential, ClockRegion(0.0, 1.0), 1e300, rotor, units)
+
+
+def test_level_wavenumber_past_float_range_is_rejected():
+    # at mass 1 the m = -1 level's 2m|V - E| overflows: its wavenumber is
+    # rejected before any level sees a non-finite height
+    rotor = ClockRotor(3, math.tau / 1.5e300)
+    potential = PiecewiseConstantPotential((0.0, 1.0), (sys.float_info.max,))
+    with pytest.warns(CouplingWarning), pytest.raises(
+        InvalidParameterError, match="wavenumber beyond the float range"
+    ):
         measurement_simulation(potential, ClockRegion(0.0, 1.0), 1e300, rotor)
+
+
+def bits(result):
+    """Every float of a reading, as exact bits."""
+    values = [result.transmitted.t_read, result.transmitted.spread,
+              result.transmitted_weight, result.reflected_weight]
+    if result.reflected is not None:
+        values += [result.reflected.t_read, result.reflected.spread]
+    return [float(v).hex() for v in values]
+
+
+def independent_rows(potential, region, energy, rotor, halvings, units):
+    """Reference: one measurement_simulation per row, tau doubled per row;
+    None where it raises CouplingTooStrongError."""
+    rows = []
+    for step in range(halvings + 1):
+        row_rotor = ClockRotor(rotor.N, rotor.tau * 2.0**step)
+        try:
+            rows.append(measurement_simulation(potential, region, energy, row_rotor, units))
+        except CouplingTooStrongError:
+            rows.append(None)
+    return rows
+
+
+def assert_series_matches(potential, region, energy, rotor, halvings, units):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CouplingWarning)
+        series = measurement_series(potential, region, energy, rotor, halvings, units)
+        reference = independent_rows(potential, region, energy, rotor, halvings, units)
+    assert len(series) == halvings + 1
+    for step, ((row_rotor, result), expected) in enumerate(zip(series, reference)):
+        assert row_rotor == ClockRotor(rotor.N, rotor.tau * 2.0**step)
+        if expected is None:
+            assert result is None
+        else:
+            assert bits(result) == bits(expected)
+    return series
+
+
+STACK = PiecewiseConstantPotential(
+    (0.0, 10.0, 12.5, 20.0, 25.0), (0.018, -0.004, 0.0, 0.012)
+)
+SERIES_CASES = [
+    # (potential, region, energy, units, energy margin of the region)
+    (double_barrier(0.018, 10.0, 10.0), ClockRegion(0.0, 30.0), 0.01,
+     UnitsConfig(), 0.008),
+    (STACK, ClockRegion(3.0, 17.5), 0.009, UnitsConfig(mass=2.0, hbar=0.5), 0.009),
+    (STACK, ClockRegion(-4.0, 27.0), 0.009, UnitsConfig(), 0.003),
+]
+
+
+@pytest.mark.parametrize("n", [3, 21, 201])
+@pytest.mark.parametrize("case", range(len(SERIES_CASES)))
+def test_series_rows_equal_independent_readings(n, case):
+    potential, region, energy, units, margin = SERIES_CASES[case]
+    # the first row's largest shift is a fifth of the margin
+    j = (n - 1) // 2
+    rotor = ClockRotor(n, j * units.hbar * math.tau / (n * 0.2 * margin))
+    series = assert_series_matches(potential, region, energy, rotor, 4, units)
+    assert all(result is not None for _, result in series)
+    for halvings in range(4):
+        assert_series_matches(potential, region, energy, rotor, halvings, units)
+
+
+def test_series_leading_rows_too_strong():
+    # at tau = 150 and 300 the largest shift reaches the 0.008 margin;
+    # the rows after them read
+    rotor = ClockRotor(21, 150.0)
+    series = assert_series_matches(
+        double_barrier(0.018, 10.0, 10.0), ClockRegion(0.0, 30.0), 0.01,
+        rotor, 3, UnitsConfig(),
+    )
+    assert [result is None for _, result in series] == [True, True, False, False]
+
+
+def count_sweeps(monkeypatch):
+    calls = []
+    sweep = scattering._sweep
+
+    def counting(*args):
+        calls.append(None)
+        return sweep(*args)
+
+    monkeypatch.setattr(scattering, "_sweep", counting)
+    return calls
+
+
+def test_series_with_shifts_underflowing_to_zero(monkeypatch):
+    # hbar*omega ~ 1e-20 * 3e-307 underflows: the levels m < 0 shift by
+    # -0.0 and the others by 0.0, two distinct shifts for the whole series;
+    # barriers 1e-19 wide keep q*a about 1 at this hbar
+    units = UnitsConfig(hbar=1e-20)
+    rotor = ClockRotor(21, 1e306)
+    assert units.hbar * rotor.omega == 0.0
+    potential = double_barrier(0.018, 1e-19, 1e-19)
+    region = ClockRegion(0.0, 3e-19)
+    reference = independent_rows(potential, region, 0.01, rotor, 1, units)
+    sweeps = count_sweeps(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        series = measurement_series(potential, region, 0.01, rotor, 1, units)
+    assert len(sweeps) == 2
+    assert [bits(result) for _, result in series] == [bits(r) for r in reference]
+    transmitted, reflected = solve_per_level(potential, region, 0.01, rotor, units)
+    assert len(set(transmitted)) == len(set(reflected)) == 1
+    assert series[0][1].transmitted.t_read == 0.0
+
+
+def test_clock_sim_solves_each_distinct_shift_once(monkeypatch, capsys):
+    # row 0 solves its 21 levels; each later row reuses its even levels
+    # from the row before and solves only its 10 odd ones: 51, not 84.
+    # clock_times adds its two solves for the t_perturbative column.
+    sweeps = count_sweeps(monkeypatch)
+    argv = ("clock-sim --N 21 --tau 25000 --halvings 3"
+            " --E 0.01 --V0 0.018 --a 10 --d 10").split()
+    assert cli.main(argv) == 0
+    assert len(sweeps) == 2 + 21 + 3 * 10
+    rows = [l for l in capsys.readouterr().out.splitlines() if l[0].isdigit()]
+    assert len(rows) == 4 and all(row.endswith(",0") for row in rows)
+
+
+def test_coupling_warnings_point_at_the_caller():
+    # rows 0 and 1 lie in the warning band (shifts above a tenth of the
+    # 0.008 margin), row 2 below it
+    potential = double_barrier(0.018, 10.0, 10.0)
+    region = ClockRegion(0.0, 30.0)
+    rotor = ClockRotor(21, 1000.0)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        line = sys._getframe().f_lineno + 1
+        measurement_series(potential, region, 0.01, rotor, 2)
+        measurement_simulation(potential, region, 0.01, rotor)
+    assert [w.category for w in caught] == [CouplingWarning] * 3
+    assert [(w.filename, w.lineno) for w in caught] == (
+        [(__file__, line)] * 2 + [(__file__, line + 1)]
+    )

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -193,6 +194,32 @@ def test_degenerate_energy_rejected():
         solve(pot, -0.01)
     with pytest.raises(InvalidParameterError):
         solve(pot, 0.0)
+
+
+def test_infinite_local_wavenumber_rejected():
+    # 2m(V - E) overflows at the largest float: kappa would be inf*i and
+    # T = R = nan
+    pot = PiecewiseConstantPotential((0.0, 1.0), (1.7976931348623157e308,))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidParameterError, match="beyond the float range"):
+            solve(pot, 1e300)
+    # at a quarter of the mass 2m|V - E| stays finite, and so do T and R
+    sol = solve(pot, 1e300, UnitsConfig(mass=0.25))
+    assert sol.transmission == 0.0 and abs(sol.reflection) == pytest.approx(1.0)
+
+
+def test_phase_and_growth_beyond_float_range_rejected():
+    # at the smallest normal hbar, k*z at the far edge z = 30 overflows
+    tiny_hbar = UnitsConfig(hbar=2.2250738585072014e-308)
+    with pytest.raises(InvalidParameterError, match="phase k\\*z"):
+        solve(double_barrier(0.018, 10.0, 10.0), 0.01, tiny_hbar)
+    # q*width overflows: e^{q width} would be inf and T = R = nan
+    units = UnitsConfig(hbar=1e-150)
+    sol = solve(PiecewiseConstantPotential((0.0, 1e153), (1e10,)), 0.01, units)
+    assert sol.transmission == 0.0 and abs(sol.reflection) == pytest.approx(1.0)
+    with pytest.raises(InvalidParameterError, match="growth across a region"):
+        solve(PiecewiseConstantPotential((0.0, 1e154), (1e10,)), 0.01, units)
 
 
 def test_reflection_phase_undefined_on_exact_zero():
