@@ -3,6 +3,7 @@
 import hashlib
 import math
 import os
+import random
 import subprocess
 import sys
 import warnings
@@ -377,6 +378,65 @@ def test_golden_clock_sim_potential_file(tmp_path, monkeypatch):
     assert code == 0
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
         "8303b3127f780d5d11cd156e9ea3589e94acc091c1e946b4676262a431c96229"
+    )
+
+
+def _stack_text(n_regions=240, seed=8):
+    """A seeded stack of barriers, free gaps and wells on [0, ~259], as
+    potential file text; every float is written by repr, so it reads back
+    bit for bit."""
+    rng = random.Random(seed)
+    z = 0.0
+    lines = [f"breakpoint {z!r}"]
+    for _ in range(n_regions):
+        u = rng.random()
+        if u < 0.5:
+            height = rng.uniform(0.004, 0.03)
+        elif u < 0.75:
+            height = 0.0
+        else:
+            height = -rng.uniform(0.002, 0.02)
+        z += rng.uniform(0.25, 2.0)
+        lines += [f"height {height!r}", f"breakpoint {z!r}"]
+    return "\n".join(lines) + "\n"
+
+
+# Generic-stack runs on the 240-region stack of _stack_text, whose
+# support is [0, 259.20411992335545].
+GOLDEN_STACK_SHA256 = [
+    # clock region sticking out past both support edges
+    ("--E 0.012 --z1 -3.5 --z2 261.5",
+     "80d1a364959da7fae7432e7a692bea5b82a0a590076242a54efe3eda17adcad9"),
+    ("--E 0.045 --z1 -3.5 --z2 261.5",
+     "238ae1ff737756dd6fe651f788528c8b128566bd205a50cb3a63152639cf8eca"),
+    # both edges exactly on breakpoints 37 and 181
+    ("--E 0.012 --z1 35.153726279049195 --z2 193.2872441068721",
+     "a88f43397818117e6e8cc47a0ad81d5ec0ce69cfb8bd2d680447c03c86200a02"),
+    # wholly left of the support, and ending on its left edge
+    ("--E 0.012 --z1 -10 --z2 -2",
+     "ea345996d6251388ba97593f679e7495d4f7771b13c507e82a425bb2faf1896a"),
+    ("--E 0.045 --z1 -10 --z2 0.0",
+     "f2f7f2c6a800f29702038b62bb008e3817b7f51ce1a8e615dc72ae9152d04aa0"),
+]
+
+
+@pytest.mark.parametrize("flags, digest", GOLDEN_STACK_SHA256)
+def test_golden_generic_stack(tmp_path, monkeypatch, flags, digest):
+    # the output names the potential file, so run from its directory
+    (tmp_path / "stack.txt").write_text(_stack_text(), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    code, text = run_to_file(
+        tmp_path, ["times", "--potential", "stack.txt", *flags.split()]
+    )
+    assert code == 0
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+
+def test_golden_check(tmp_path):
+    code, text = run_to_file(tmp_path, "check --count 50 --seed 7".split())
+    assert code == 0
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+        "a64a925563e1eba63a1e29276e8356d876d06ecb832122e8668964ec87509c4b"
     )
 
 
