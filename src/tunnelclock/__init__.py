@@ -16,10 +16,7 @@ from .checks import (
 from .clocktimes import (
     PROB_FLOOR,
     ClockTimes,
-    ProfilePoint,
     clock_times,
-    dwell_decomposition_check,
-    time_vs_energy_profile,
 )
 from .closedform import (
     NEAR_RESONANCE_CUTOFF,
@@ -43,7 +40,6 @@ from .errors import (
     InvalidPerturbationError,
     OpaqueUnderflowError,
     TunnelClockError,
-    UndefinedPhaseError,
     UndefinedReadingError,
 )
 from .potentials import (
@@ -71,17 +67,11 @@ from .rotor import (
     time_expectation,
 )
 from .scattering import (
-    PhasePair,
     RegionWave,
     ScatteringSolution,
     dwell_time,
     overlap_integrals,
-    phases,
-    reflection_phase,
     solve,
-    transmission_phase,
-    wavefunction_at,
-    wavefunction_derivative_at,
 )
 
 __version__ = "0.1.0"
@@ -94,10 +84,7 @@ __all__ = [
     "random_scattering_instance",
     "PROB_FLOOR",
     "ClockTimes",
-    "ProfilePoint",
     "clock_times",
-    "dwell_decomposition_check",
-    "time_vs_energy_profile",
     "NEAR_RESONANCE_CUTOFF",
     "RESONANCE_DENOMINATOR_CUTOFF",
     "DoubleBarrierGrid",
@@ -117,7 +104,6 @@ __all__ = [
     "InvalidPerturbationError",
     "OpaqueUnderflowError",
     "TunnelClockError",
-    "UndefinedPhaseError",
     "UndefinedReadingError",
     "NATURAL_UNITS",
     "ClockRegion",
@@ -139,16 +125,10 @@ __all__ = [
     "measurement_simulation",
     "read_pointer",
     "time_expectation",
-    "PhasePair",
     "RegionWave",
     "ScatteringSolution",
     "dwell_time",
     "overlap_integrals",
-    "phases",
-    "reflection_phase",
     "solve",
-    "transmission_phase",
-    "wavefunction_at",
-    "wavefunction_derivative_at",
     "__version__",
 ]

@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import scattering
-from .errors import TunnelClockError
 from .potentials import (
     NATURAL_UNITS,
     ClockRegion,
@@ -34,14 +33,7 @@ from .potentials import (
     reflected,
 )
 
-__all__ = [
-    "PROB_FLOOR",
-    "ClockTimes",
-    "ProfilePoint",
-    "clock_times",
-    "dwell_decomposition_check",
-    "time_vs_energy_profile",
-]
+__all__ = ["PROB_FLOOR", "ClockTimes", "clock_times"]
 
 # Channels with probability below this are reported as undefined instead of
 # taking the phase derivative of a vanishing amplitude.
@@ -66,15 +58,6 @@ class ClockTimes:
     transmission_prob: float
     reflection_prob: float
     decomposition_residual: float
-
-
-@dataclass(frozen=True)
-class ProfilePoint:
-    """One energy sample of a profile; error is set when times is None."""
-
-    energy: float
-    times: ClockTimes | None = None
-    error: TunnelClockError | None = None
 
 
 def clock_times(
@@ -115,32 +98,3 @@ def clock_times(
         decomposition_residual=residual,
     )
 
-
-def dwell_decomposition_check(
-    potential: PiecewiseConstantPotential,
-    region: ClockRegion,
-    energy: float,
-    units: UnitsConfig = NATURAL_UNITS,
-) -> float:
-    """Relative residual of the probability-weighted decomposition."""
-    return clock_times(potential, region, energy, units).decomposition_residual
-
-
-def time_vs_energy_profile(
-    potential: PiecewiseConstantPotential,
-    region: ClockRegion,
-    energies: "list[float]",
-    units: UnitsConfig = NATURAL_UNITS,
-) -> list[ProfilePoint]:
-    """clock_times over an energy grid; per-point failures are recorded,
-    not raised, so one resonant or degenerate energy cannot kill a sweep.
-    Points come back sorted by energy."""
-    points: list[ProfilePoint] = []
-    for energy in sorted(energies):
-        try:
-            times = clock_times(potential, region, energy, units)
-        except TunnelClockError as exc:
-            points.append(ProfilePoint(energy=energy, error=exc))
-        else:
-            points.append(ProfilePoint(energy=energy, times=times))
-    return points

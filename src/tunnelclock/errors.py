@@ -26,10 +26,6 @@ class CouplingTooStrongError(InvalidParameterError):
     """Largest clock level shift is not small against the energy margins."""
 
 
-class UndefinedPhaseError(TunnelClockError):
-    """Requested the phase of an amplitude that is exactly zero."""
-
-
 class UndefinedReadingError(TunnelClockError):
     """Pointer density has no usable circular mean (uniform distribution)."""
 

@@ -11,6 +11,10 @@ absolute positions, and an explicit log-scale guard covers extremely
 opaque stacks (products of barrier growth factors beyond float range)
 and single barriers whose own growth factor is beyond float range.
 
+A solution keeps the sweep's result, not the waves themselves: region
+r's normalized expansion is built on demand, and the dwell and overlap
+integrals build only the regions that overlap the clock region.
+
 Conventions: unit amplitude incident from the left, purely outgoing wave
 on the right. Far to the left psi = e^{ikz} + R e^{-ikz}, far to the
 right psi = T e^{ikz}.
@@ -23,11 +27,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .errors import (
-    DegenerateEnergyError,
-    InvalidParameterError,
-    UndefinedPhaseError,
-)
+from .errors import DegenerateEnergyError, InvalidParameterError
 from .potentials import (
     NATURAL_UNITS,
     ClockRegion,
@@ -38,15 +38,9 @@ from .potentials import (
 __all__ = [
     "RegionWave",
     "ScatteringSolution",
-    "PhasePair",
     "solve",
-    "wavefunction_at",
-    "wavefunction_derivative_at",
     "dwell_time",
     "overlap_integrals",
-    "phases",
-    "transmission_phase",
-    "reflection_phase",
 ]
 
 # Rescale stored coefficients once they exceed this during the sweep.
@@ -76,48 +70,52 @@ def _abs2_exp(coef: complex, exponent: float) -> float:
 class RegionWave:
     """Expansion A e^{i kappa (z - anchor)} + B e^{-i kappa (z - anchor)}.
 
-    Valid on [lo, hi); kappa is real for propagating regions and +iq for
-    evanescent ones, so the A term always decays to the right and the B
-    term always grows to the right inside a barrier.
+    kappa is real for propagating regions and +iq for evanescent ones, so
+    the A term always decays to the right and the B term always grows to
+    the right inside a barrier.
     """
 
-    lo: float
-    hi: float
     anchor: float
     kappa: complex
     a: complex
     b: complex
 
-    def value(self, z: float) -> complex:
-        u = z - self.anchor
-        return _scaled_exp(self.a, 1j * self.kappa * u) + _scaled_exp(
-            self.b, -1j * self.kappa * u
-        )
-
-    def derivative(self, z: float) -> complex:
-        u = z - self.anchor
-        fwd = _scaled_exp(self.a, 1j * self.kappa * u)
-        bwd = _scaled_exp(self.b, -1j * self.kappa * u)
-        return 1j * self.kappa * (fwd - bwd)
-
 
 @dataclass(frozen=True)
 class ScatteringSolution:
+    """T and R, plus the backward sweep's result that region waves are
+    built from: the local wavenumbers, each region's stored coefficients
+    at its left edge, the log-scales they were divided by, the incident
+    coefficient inc and the phase e^{ik z_0} of the first breakpoint.
+
+    Region 0 is (-inf, bp[0]), region r in 1..n is [bp[r-1], bp[r]) and
+    region n+1 is [bp[n], inf).
+    """
+
     energy: float
     wavenumber: float
     transmission: complex
     reflection: complex
-    regions: tuple[RegionWave, ...]
     breakpoints: tuple[float, ...]
     units: UnitsConfig
+    kappas: tuple[complex, ...]
+    stored: tuple[tuple[complex, complex], ...]
+    logscale: tuple[float, ...]
+    inc: complex
+    phase0: complex
 
+    def wave(self, r: int) -> RegionWave:
+        """Region r's expansion, normalized to unit incident amplitude and
+        the global e^{ikz} phase convention.
 
-@dataclass(frozen=True)
-class PhasePair:
-    """Principal-branch arguments of the transmission and reflection amplitudes."""
-
-    transmission: float
-    reflection: float
+        logscale[0] is the largest scale, so the exponential never
+        overflows; it may underflow to zero in deep shadow.
+        """
+        bp = self.breakpoints
+        f, b = self.stored[r]
+        factor = math.exp(self.logscale[r] - self.logscale[0]) / self.inc * self.phase0
+        anchor = bp[r - 1] if r else bp[0]
+        return RegionWave(anchor, self.kappas[r], f * factor, b * factor)
 
 
 def _free_wavenumber(energy: float, units: UnitsConfig) -> complex:
@@ -265,51 +263,33 @@ def solve(
     """
     kappas = _kappas(energy, potential.heights, units)
     bp = potential.breakpoints
-    n = len(potential.heights)
     k = kappas[0].real
     stored, logscale = _sweep(kappas, bp)
     transmission, reflection = _amplitudes(kappas, bp, stored, logscale)
-
-    # Normalize to unit incident amplitude and to the global e^{ikz} phase
-    # convention. logscale[0] is the largest scale, so the exponentials
-    # below never overflow; they may underflow to zero in deep shadow.
-    inc = stored[0][0]
-    phase0 = cmath.exp(1j * k * bp[0])
-    regions = []
-    for r in range(n + 2):
-        f, b = stored[r]
-        factor = math.exp(logscale[r] - logscale[0]) / inc * phase0
-        if r == 0:
-            lo, hi, anchor = -math.inf, bp[0], bp[0]
-        elif r <= n:
-            lo, hi, anchor = bp[r - 1], bp[r], bp[r - 1]
-        else:
-            lo, hi, anchor = bp[-1], math.inf, bp[-1]
-        regions.append(RegionWave(lo, hi, anchor, kappas[r], f * factor, b * factor))
-
     return ScatteringSolution(
         energy=float(energy),
         wavenumber=k,
         transmission=transmission,
         reflection=reflection,
-        regions=tuple(regions),
         breakpoints=bp,
         units=units,
+        kappas=tuple(kappas),
+        stored=tuple(stored),
+        logscale=tuple(logscale),
+        inc=stored[0][0],
+        phase0=cmath.exp(1j * k * bp[0]),
     )
 
 
-def _region_index(solution: ScatteringSolution, z: float) -> int:
-    return bisect.bisect_right(solution.breakpoints, z)
-
-
-def wavefunction_at(solution: ScatteringSolution, z: float) -> complex:
-    """psi(z), using the half-open region convention at breakpoints."""
-    return solution.regions[_region_index(solution, z)].value(z)
-
-
-def wavefunction_derivative_at(solution: ScatteringSolution, z: float) -> complex:
-    """d psi / dz at z, same region convention as wavefunction_at."""
-    return solution.regions[_region_index(solution, z)].derivative(z)
+def _overlaps(bp: tuple[float, ...], region: ClockRegion):
+    """(r, lo, hi) for every region r that overlaps the clock region, in
+    order, with [lo, hi] their intersection."""
+    z1, z2 = region.z1, region.z2
+    last = len(bp)
+    for r in range(bisect.bisect_right(bp, z1), bisect.bisect_left(bp, z2) + 1):
+        lo = max(bp[r - 1], z1) if r else z1
+        hi = min(bp[r], z2) if r < last else z2
+        yield r, lo, hi
 
 
 def _density_integral(rw: RegionWave, u1: float, u2: float) -> float:
@@ -365,8 +345,21 @@ def _exp_integral(log_coef: complex, rate: complex, u1: float, u2: float) -> com
         raise _phase_range_error() from None
 
 
-def _product_integral(w1: RegionWave, w2: RegionWave, z1: float, z2: float) -> complex:
-    """Integral of w1(z) * w2(z) (no conjugate) over [z1, z2] in one region.
+def _log_terms(w: RegionWave) -> list[tuple[complex, int]]:
+    """(log of coefficient, sign of its exponent) of each nonzero term."""
+    return [(cmath.log(c), s) for c, s in ((w.a, 1), (w.b, -1)) if c != 0]
+
+
+def _product_integral(
+    w1: RegionWave,
+    terms1: list[tuple[complex, int]],
+    w2: RegionWave,
+    terms2: list[tuple[complex, int]],
+    z1: float,
+    z2: float,
+) -> complex:
+    """Integral of w1(z) * w2(z) (no conjugate) over [z1, z2] in one region,
+    given each wave's _log_terms.
 
     Both expansions share kappa; each keeps its own anchor. Every product
     of two exponentials is integrated from the logs of its coefficients,
@@ -377,17 +370,16 @@ def _product_integral(w1: RegionWave, w2: RegionWave, z1: float, z2: float) -> c
     shift = ik * (w1.anchor - w2.anchor)
     u1, u2 = z1 - w1.anchor, z2 - w1.anchor
     total = 0j
-    for c1, s1 in ((w1.a, 1), (w1.b, -1)):
-        for c2, s2 in ((w2.a, 1), (w2.b, -1)):
-            if c1 != 0 and c2 != 0:
-                log_coef = cmath.log(c1) + cmath.log(c2) + s2 * shift
-                total += _exp_integral(log_coef, (s1 + s2) * ik, u1, u2)
+    for log1, s1 in terms1:
+        for log2, s2 in terms2:
+            log_coef = log1 + log2 + s2 * shift
+            total += _exp_integral(log_coef, (s1 + s2) * ik, u1, u2)
     return total
 
 
 def _mirrored(rw: RegionWave) -> RegionWave:
     """The expansion of z -> rw(-z)."""
-    return RegionWave(-rw.hi, -rw.lo, -rw.anchor, rw.kappa, rw.b, rw.a)
+    return RegionWave(-rw.anchor, rw.kappa, rw.b, rw.a)
 
 
 def overlap_integrals(
@@ -400,16 +392,17 @@ def overlap_integrals(
     psi is the left-incident solution; mirrored must solve the reflected
     potential at the same energy, so chi(z) = mirrored psi(-z) is the unit
     wave incident from the right. Region r of psi is region n+1-r of the
-    mirrored solution, so the two expansions pair up one to one.
+    mirrored solution, so the two expansions pair up one to one. Only the
+    regions that overlap the clock region are built.
     """
+    partner = len(solution.breakpoints)
     psi2 = psichi = 0j
-    for rw, mw in zip(solution.regions, reversed(mirrored.regions)):
-        lo = max(rw.lo, region.z1)
-        hi = min(rw.hi, region.z2)
-        if hi <= lo:
-            continue
-        psi2 += _product_integral(rw, rw, lo, hi)
-        psichi += _product_integral(rw, _mirrored(mw), lo, hi)
+    for r, lo, hi in _overlaps(solution.breakpoints, region):
+        rw = solution.wave(r)
+        chi = _mirrored(mirrored.wave(partner - r))
+        terms = _log_terms(rw)
+        psi2 += _product_integral(rw, terms, rw, terms, lo, hi)
+        psichi += _product_integral(rw, terms, chi, _log_terms(chi), lo, hi)
     return psi2, psichi
 
 
@@ -417,33 +410,13 @@ def dwell_time(solution: ScatteringSolution, region: ClockRegion) -> float:
     """Dwell time (m / (hbar k)) * integral of |psi|^2 over the region.
 
     Uses the exact per-region antiderivatives of the wave expansions, so
-    the result is additive over adjacent regions up to rounding.
+    the result is additive over adjacent regions up to rounding. Only the
+    regions that overlap the clock region are built.
     """
     total = 0.0
-    for rw in solution.regions:
-        lo = max(rw.lo, region.z1)
-        hi = min(rw.hi, region.z2)
-        if hi <= lo:
-            continue
+    for r, lo, hi in _overlaps(solution.breakpoints, region):
+        rw = solution.wave(r)
         total += _density_integral(rw, lo - rw.anchor, hi - rw.anchor)
     u = solution.units
     return u.mass / (u.hbar * solution.wavenumber) * total
 
-
-def transmission_phase(solution: ScatteringSolution) -> float:
-    """Principal-branch argument of T; error if T is exactly zero."""
-    if solution.transmission == 0:
-        raise UndefinedPhaseError("transmission amplitude is exactly zero")
-    return cmath.phase(solution.transmission)
-
-
-def reflection_phase(solution: ScatteringSolution) -> float:
-    """Principal-branch argument of R; error if R is exactly zero."""
-    if solution.reflection == 0:
-        raise UndefinedPhaseError("reflection amplitude is exactly zero")
-    return cmath.phase(solution.reflection)
-
-
-def phases(solution: ScatteringSolution) -> PhasePair:
-    """Both principal-branch phases; error if either amplitude is exactly zero."""
-    return PhasePair(transmission_phase(solution), reflection_phase(solution))

@@ -1,5 +1,5 @@
-"""Clock times from overlap integrals: channel times, dwell decomposition,
-and the energy profile helper."""
+"""Clock times from overlap integrals: channel times and the dwell
+decomposition."""
 
 import cmath
 import math
@@ -8,19 +8,11 @@ import random
 import pytest
 
 from tunnelclock import scattering
-from tunnelclock.clocktimes import (
-    PROB_FLOOR,
-    ClockTimes,
-    ProfilePoint,
-    clock_times,
-    dwell_decomposition_check,
-    time_vs_energy_profile,
-)
+from tunnelclock.clocktimes import PROB_FLOOR, clock_times
 from tunnelclock.closedform import DoubleBarrierParams, times
 from tunnelclock.errors import (
     DegenerateEnergyError,
     InvalidParameterError,
-    TunnelClockError,
 )
 from tunnelclock.potentials import (
     NATURAL_UNITS,
@@ -69,7 +61,7 @@ def test_symmetric_channels_agree():
 
 
 def test_asymmetric_decomposition_residual():
-    residual = dwell_decomposition_check(ASYM, ClockRegion(2.0, 15.0), 0.009)
+    residual = clock_times(ASYM, ClockRegion(2.0, 15.0), 0.009).decomposition_residual
     assert residual <= 1e-9
 
 
@@ -107,7 +99,7 @@ def test_region_beyond_support():
         result.transmission_prob * 5.0 / k, rel=1e-12
     )
     assert result.reflected is not None and result.reflected > 0
-    assert dwell_decomposition_check(BARRIER, region, 0.01) <= 1e-9
+    assert result.decomposition_residual <= 1e-9
 
 
 def test_opaque_transmitted_channel_undefined():
@@ -121,29 +113,6 @@ def test_opaque_transmitted_channel_undefined():
     assert result.reflected == pytest.approx(
         2.0 * k / (q * (k * k + q * q)), rel=1e-8
     )
-
-
-def test_profile_sorted_and_error_tolerant():
-    energies = [0.012, 0.018, 0.01, 0.005]
-    points = time_vs_energy_profile(BARRIER, WHOLE, energies)
-    assert [p.energy for p in points] == sorted(energies)
-    by_energy = {p.energy: p for p in points}
-    degenerate = by_energy[0.018]  # equals the barrier height
-    assert degenerate.times is None
-    assert isinstance(degenerate.error, TunnelClockError)
-    assert isinstance(degenerate.error, DegenerateEnergyError)
-    for energy in (0.005, 0.01, 0.012):
-        point = by_energy[energy]
-        assert point.error is None
-        assert isinstance(point.times, ClockTimes)
-        assert point.times.transmitted > 0
-
-
-def test_profile_single_point():
-    points = time_vs_energy_profile(BARRIER, WHOLE, [0.01])
-    assert len(points) == 1
-    assert isinstance(points[0], ProfilePoint)
-    assert points[0].times.dwell > 0
 
 
 def test_error_hierarchy():
@@ -206,6 +175,24 @@ def test_two_solves_per_call(monkeypatch):
     assert calls == [ASYM, reflected(ASYM)]
 
 
+def test_waves_built_only_over_the_clock_region(monkeypatch):
+    # 300 regions, a clock region of 3: each of the 3 is built once for
+    # the dwell time, once for psi^2 and psi*chi, and once mirrored
+    potential, _, energy = random_stack(2, 300, 300)
+    bp = potential.breakpoints
+    built = []
+    original = scattering.ScatteringSolution.wave
+
+    def counting(self, r):
+        built.append(r)
+        return original(self, r)
+
+    monkeypatch.setattr(scattering.ScatteringSolution, "wave", counting)
+    result = clock_times(potential, ClockRegion(bp[150], bp[153]), energy)
+    assert len(bp) == 301 and result.dwell > 0
+    assert 3 <= len(built) <= 10
+
+
 # Dwell time of BARRIER over WHOLE at the barrier top, from a 50-digit
 # transfer matrix.
 BAND_EDGE_DWELL = 95.4266608852
@@ -231,7 +218,7 @@ def test_very_narrow_region():
     region = ClockRegion(12.0, 12.0 + 1e-9)
     result = clock_times(BARRIER, region, 0.01)
     assert 0.0 < result.dwell < 1e-7
-    assert dwell_decomposition_check(BARRIER, region, 0.01) <= 1e-9
+    assert result.decomposition_residual <= 1e-9
 
 
 def test_barrier_beyond_float_range():
@@ -281,7 +268,7 @@ def test_deep_stack_decomposition():
     # 234 regions; a phase-derivative route fails to converge here
     potential, region, energy = random_stack(1, 200, 400)
     assert len(potential.heights) >= 200
-    assert dwell_decomposition_check(potential, region, energy) <= 1e-9
+    assert clock_times(potential, region, energy).decomposition_residual <= 1e-9
 
 
 def test_weakly_transmitting_stack_decomposition():
@@ -290,7 +277,7 @@ def test_weakly_transmitting_stack_decomposition():
     result = clock_times(potential, region, energy)
     assert 20 <= len(potential.heights) <= 60
     assert 1e-10 < result.transmission_prob < 1e-3
-    assert dwell_decomposition_check(potential, region, energy) <= 1e-9
+    assert result.decomposition_residual <= 1e-9
 
 
 def test_residual_keeps_channels_below_floor():
@@ -299,7 +286,7 @@ def test_residual_keeps_channels_below_floor():
     potential, region, energy = random_stack(4, 200, 400)
     result = clock_times(potential, region, energy)
     assert result.transmission_prob < PROB_FLOOR and result.transmitted is None
-    assert dwell_decomposition_check(potential, region, energy) <= 1e-9
+    assert result.decomposition_residual <= 1e-9
 
 
 def test_full_identity_in_deep_shadow():

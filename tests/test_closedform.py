@@ -30,7 +30,7 @@ from tunnelclock.potentials import (
     double_barrier,
     perturb,
 )
-from tunnelclock.scattering import dwell_time, solve, transmission_phase
+from tunnelclock.scattering import dwell_time, solve
 
 BASE = dict(V0=0.018, a=10.0, d=10.0, E=0.01)
 
@@ -103,7 +103,7 @@ def _phase(params, coupling=0.0):
 def test_phase_matches_engine():
     p = DoubleBarrierParams(**BASE)
     sol = solve(double_barrier(p.V0, p.a, p.d), p.E)
-    delta = math.remainder(_phase(p) - transmission_phase(sol), math.tau)
+    delta = math.remainder(_phase(p) - cmath.phase(sol.transmission), math.tau)
     assert delta == pytest.approx(0.0, abs=1e-10)
 
 

@@ -1,7 +1,9 @@
 """Scattering engine against textbook formulas and an independent ODE solver."""
 
+import bisect
 import cmath
 import math
+import random
 import warnings
 
 import numpy as np
@@ -9,11 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad, solve_ivp
 
-from tunnelclock.errors import (
-    DegenerateEnergyError,
-    InvalidParameterError,
-    UndefinedPhaseError,
-)
+from tunnelclock.errors import DegenerateEnergyError, InvalidParameterError
 from tunnelclock.potentials import (
     ClockRegion,
     PiecewiseConstantPotential,
@@ -23,15 +21,26 @@ from tunnelclock.potentials import (
     free_potential,
     reflected,
 )
-from tunnelclock.scattering import (
-    dwell_time,
-    phases,
-    reflection_phase,
-    solve,
-    transmission_phase,
-    wavefunction_at,
-    wavefunction_derivative_at,
-)
+from tunnelclock import scattering
+from tunnelclock.scattering import _scaled_exp, dwell_time, overlap_integrals, solve
+
+
+def _wave_terms(sol, z):
+    """kappa and the forward and backward terms of psi at z, taking the
+    region on the right at a breakpoint."""
+    w = sol.wave(bisect.bisect_right(sol.breakpoints, z))
+    u = z - w.anchor
+    return w.kappa, _scaled_exp(w.a, 1j * w.kappa * u), _scaled_exp(w.b, -1j * w.kappa * u)
+
+
+def wavefunction_at(sol, z):
+    _, fwd, bwd = _wave_terms(sol, z)
+    return fwd + bwd
+
+
+def wavefunction_derivative_at(sol, z):
+    kappa, fwd, bwd = _wave_terms(sol, z)
+    return 1j * kappa * (fwd - bwd)
 
 
 def rectangular_barrier(v0, width):
@@ -223,18 +232,10 @@ def test_phase_and_growth_beyond_float_range_rejected():
 
 
 def test_reflection_phase_undefined_on_exact_zero():
+    # nothing reflects off the free potential, so R has no phase
     sol = solve(free_potential(), 0.5)
-    with pytest.raises(UndefinedPhaseError):
-        reflection_phase(sol)
-    assert transmission_phase(sol) == pytest.approx(0.0, abs=1e-15)
-
-
-def test_phases_pair_matches_channel_functions():
-    pot = double_barrier(0.018, 10.0, 10.0)
-    sol = solve(pot, 0.01)
-    pair = phases(sol)
-    assert pair.transmission == transmission_phase(sol)
-    assert pair.reflection == reflection_phase(sol)
+    assert sol.reflection == 0
+    assert cmath.phase(sol.transmission) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_symmetric_phase_offset_energy_independent():
@@ -250,9 +251,8 @@ def test_symmetric_phase_offset_energy_independent():
         assert (sol.transmission * sol.reflection.conjugate()).real == (
             pytest.approx(0.0, abs=1e-14)
         )
-        pair = phases(sol)
         offset = math.remainder(
-            pair.reflection - pair.transmission, math.pi
+            cmath.phase(sol.reflection) - cmath.phase(sol.transmission), math.pi
         )
         assert abs(offset) == pytest.approx(math.pi / 2, rel=1e-9)
 
@@ -352,7 +352,7 @@ def test_transmission_magnitude_reciprocity(inst):
 def test_incident_coefficient_is_unity():
     pot = double_barrier(0.018, 10.0, 10.0)
     sol = solve(pot, 0.01)
-    left = sol.regions[0]
+    left = sol.wave(0)
     assert left.a == pytest.approx(1.0 + 0j, abs=1e-14)
 
 
@@ -366,3 +366,79 @@ def test_units_rescaling():
     )
     sol = solve(rectangular_barrier(v0, width), E, units)
     assert abs(sol.transmission) ** 2 == pytest.approx(expected, rel=1e-12)
+
+
+def _full_sums(sol, mirror, region):
+    """Density and overlap integrals summed over every region of both
+    solutions, each with its own logs per product term, skipping the
+    regions that miss the clock region: the independent route that the
+    windowed integrals must reproduce bit for bit."""
+    bp = sol.breakpoints
+    n = len(bp) - 1
+    density = 0.0
+    psi2 = psichi = 0j
+    for r in range(n + 2):
+        lo = max(bp[r - 1] if r else -math.inf, region.z1)
+        hi = min(bp[r] if r <= n else math.inf, region.z2)
+        if hi <= lo:
+            continue
+        rw = sol.wave(r)
+        density += scattering._density_integral(rw, lo - rw.anchor, hi - rw.anchor)
+        chi = scattering._mirrored(mirror.wave(n + 1 - r))
+        sums = []
+        for w2 in (rw, chi):
+            ik = 1j * rw.kappa
+            shift = ik * (rw.anchor - w2.anchor)
+            total = 0j
+            for c1, s1 in ((rw.a, 1), (rw.b, -1)):
+                for c2, s2 in ((w2.a, 1), (w2.b, -1)):
+                    if c1 != 0 and c2 != 0:
+                        log_coef = cmath.log(c1) + cmath.log(c2) + s2 * shift
+                        total += scattering._exp_integral(
+                            log_coef, (s1 + s2) * ik, lo - rw.anchor, hi - rw.anchor
+                        )
+            sums.append(total)
+        psi2 += sums[0]
+        psichi += sums[1]
+    u = sol.units
+    return u.mass / (u.hbar * sol.wavenumber) * density, psi2, psichi
+
+
+def _window_cases():
+    """Seeded potentials and clock regions: endpoints on breakpoints,
+    regions outside the support, regions covering the whole potential and
+    the free potential with a single breakpoint."""
+    rng = random.Random(11)
+    heights = [rng.choice((rng.uniform(0.004, 0.03), 0.0, -rng.uniform(0.002, 0.02)))
+               for _ in range(120)]
+    bps = [-3.0]
+    for _ in heights:
+        bps.append(bps[-1] + rng.uniform(0.3, 4.0))
+    stack = PiecewiseConstantPotential(tuple(bps), tuple(heights))
+    cases = []
+    for pot, energy in ((stack, 0.012), (stack, 0.04),
+                        (double_barrier(0.018, 10.0, 10.0), 0.01),
+                        (free_potential(2.5), 0.3)):
+        bp = pot.breakpoints
+        lo, hi = bp[0], bp[-1]
+        regions = [
+            (lo - 5.0, hi + 5.0), (lo, hi), (lo - 5.0, lo), (hi, hi + 5.0),
+            (lo - 9.0, lo - 1.0), (hi + 1.0, hi + 9.0), (lo - 1.0, hi), (lo, hi + 1.0),
+        ]
+        for _ in range(12):
+            i, j = sorted(rng.sample(range(len(bp)), 2)) if len(bp) > 1 else (0, 0)
+            regions.append((bp[i], bp[j]) if i < j else (bp[i] - 1.0, bp[i] + 1.0))
+            z1 = rng.uniform(lo - 4.0, hi + 3.0)
+            regions.append((z1, z1 + rng.uniform(1e-9, 0.5 * (hi - lo) + 4.0)))
+            regions.append((bp[i], rng.uniform(bp[i] + 1e-6, hi + 4.0)))
+        cases += [(pot, energy, ClockRegion(*zs)) for zs in regions if zs[0] < zs[1]]
+    return cases
+
+
+def test_windowed_integrals_equal_the_full_sum():
+    for pot, energy, region in _window_cases():
+        sol = solve(pot, energy)
+        mirror = solve(reflected(pot), energy)
+        dwell, psi2, psichi = _full_sums(sol, mirror, region)
+        assert dwell_time(sol, region) == dwell
+        assert overlap_integrals(sol, mirror, region) == (psi2, psichi)
