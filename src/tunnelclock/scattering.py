@@ -26,6 +26,7 @@ import bisect
 import cmath
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DegenerateEnergyError, InvalidParameterError
 from .potentials import (
@@ -66,8 +67,7 @@ def _abs2_exp(coef: complex, exponent: float) -> float:
     return math.exp(2.0 * math.log(abs(coef)) + exponent)
 
 
-@dataclass(frozen=True)
-class RegionWave:
+class RegionWave(NamedTuple):
     """Expansion A e^{i kappa (z - anchor)} + B e^{-i kappa (z - anchor)}.
 
     kappa is real for propagating regions and +iq for evanescent ones, so
