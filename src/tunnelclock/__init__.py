@@ -4,131 +4,21 @@ Clock times from overlap integrals of the stationary states, dwell-time
 integrals, exact symmetric double-barrier expressions with opaque and
 wide-barrier asymptotics, and a discrete N-level clock whose pointer
 records the transit through a region.
+
+Each public name is declared once, in its module's ``__all__``; the
+package re-exports those names and nothing else.
 """
 
-from .checks import (
-    InstanceResult,
-    RandomInstance,
-    SuiteResult,
-    decomposition_suite,
-    random_scattering_instance,
-)
-from .clocktimes import (
-    PROB_FLOOR,
-    ClockTimes,
-    clock_times,
-)
-from .closedform import (
-    NEAR_RESONANCE_CUTOFF,
-    RESONANCE_DENOMINATOR_CUTOFF,
-    DoubleBarrierGrid,
-    DoubleBarrierParams,
-    DoubleBarrierTimes,
-    asymptotic_agreement,
-    grid,
-    near_resonance,
-    opaque_limit_gap,
-    perturbed_amplitude,
-    resonance_proximity,
-    times,
-)
-from .errors import (
-    CouplingTooStrongError,
-    CouplingWarning,
-    DegenerateEnergyError,
-    InvalidParameterError,
-    InvalidPerturbationError,
-    OpaqueUnderflowError,
-    TunnelClockError,
-    UndefinedReadingError,
-)
-from .potentials import (
-    NATURAL_UNITS,
-    ClockRegion,
-    PiecewiseConstantPotential,
-    UnitsConfig,
-    double_barrier,
-    evaluate,
-    free_potential,
-    perturb,
-    reflected,
-)
-from .rotor import (
-    COUPLING_WARNING_FRACTION,
-    ClockRotor,
-    ClockState,
-    MeasurementResult,
-    PointerReading,
-    basis_state,
-    evolve,
-    measurement_series,
-    measurement_simulation,
-    read_pointer,
-    time_expectation,
-)
-from .scattering import (
-    RegionWave,
-    ScatteringSolution,
-    dwell_time,
-    overlap_integrals,
-    solve,
-)
+from . import checks, clocktimes, closedform, errors, potentials, rotor, scattering
+from .checks import *  # noqa: F403
+from .clocktimes import *  # noqa: F403
+from .closedform import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .potentials import *  # noqa: F403
+from .rotor import *  # noqa: F403
+from .scattering import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "InstanceResult",
-    "RandomInstance",
-    "SuiteResult",
-    "decomposition_suite",
-    "random_scattering_instance",
-    "PROB_FLOOR",
-    "ClockTimes",
-    "clock_times",
-    "NEAR_RESONANCE_CUTOFF",
-    "RESONANCE_DENOMINATOR_CUTOFF",
-    "DoubleBarrierGrid",
-    "DoubleBarrierParams",
-    "DoubleBarrierTimes",
-    "asymptotic_agreement",
-    "grid",
-    "near_resonance",
-    "opaque_limit_gap",
-    "perturbed_amplitude",
-    "resonance_proximity",
-    "times",
-    "CouplingTooStrongError",
-    "CouplingWarning",
-    "DegenerateEnergyError",
-    "InvalidParameterError",
-    "InvalidPerturbationError",
-    "OpaqueUnderflowError",
-    "TunnelClockError",
-    "UndefinedReadingError",
-    "NATURAL_UNITS",
-    "ClockRegion",
-    "PiecewiseConstantPotential",
-    "UnitsConfig",
-    "double_barrier",
-    "evaluate",
-    "free_potential",
-    "perturb",
-    "reflected",
-    "COUPLING_WARNING_FRACTION",
-    "ClockRotor",
-    "ClockState",
-    "MeasurementResult",
-    "PointerReading",
-    "basis_state",
-    "evolve",
-    "measurement_series",
-    "measurement_simulation",
-    "read_pointer",
-    "time_expectation",
-    "RegionWave",
-    "ScatteringSolution",
-    "dwell_time",
-    "overlap_integrals",
-    "solve",
-    "__version__",
-]
+_MODULES = (checks, clocktimes, closedform, errors, potentials, rotor, scattering)
+__all__ = [name for module in _MODULES for name in module.__all__] + ["__version__"]

@@ -10,7 +10,7 @@ overflow (2qa of a few hundred and beyond).
 
 The formulas run over float64 arrays, one element per parameter set:
 ``grid`` evaluates a whole sweep in one pass, and ``times``,
-``perturbed_amplitude`` and ``resonance_proximity`` run the same code on
+``perturbed_amplitude`` and ``near_resonance`` run the same code on
 arrays of length one. Each element equals, bit for bit, what plain
 CPython float and complex arithmetic gives for that parameter set alone,
 so the 17-digit CSV does not depend on how many points are evaluated at
@@ -57,7 +57,6 @@ __all__ = [
     "times",
     "opaque_limit_gap",
     "asymptotic_agreement",
-    "resonance_proximity",
     "near_resonance",
     "RESONANCE_DENOMINATOR_CUTOFF",
     "NEAR_RESONANCE_CUTOFF",
@@ -144,7 +143,7 @@ class DoubleBarrierGrid:
     """Closed forms over a grid of parameter sets, one element per set.
 
     ok is False where the set leaves the tunneling regime, where times,
-    perturbed_amplitude, abs(amplitude) ** 2 or resonance_proximity would
+    perturbed_amplitude, abs(amplitude) ** 2 or near_resonance would
     raise for it, or where a time is not finite. The other arrays hold
     meaningless values there.
     """
@@ -343,8 +342,10 @@ def _scaled_gammas(k, q, a, d, t: _Terms, bad: np.ndarray):
 
 
 def _times(k, q, a, d, units: UnitsConfig, t: _Terms, bad: np.ndarray):
-    """(t_whole, t_between, t_barriers, t_opaque, t_between_asymptotic);
-    marks bad where a time is not finite or the arithmetic would raise."""
+    """(t_whole, t_between, t_barriers, t_opaque, res_den), res_den being
+    the resonance denominator of the wide-barrier form, NaN near a
+    resonance; marks bad where a time is not finite or the arithmetic of
+    times, its wide-barrier form included, would raise."""
     m, hbar = units.mass, units.hbar
     alpha, beta = _scaled_alpha_beta(k, k, q, t)
     g1, g2, g3, g4 = _scaled_gammas(k, q, a, d, t, bad)
@@ -361,22 +362,27 @@ def _times(k, q, a, d, units: UnitsConfig, t: _Terms, bad: np.ndarray):
     for value in (t_whole, t_between, t_barriers, t_opaque):
         bad |= ~np.isfinite(value)
 
-    sin_kd, cos_kd = t.sin, t.cos
-    res_den = (k2 - q2) * sin_kd - 2.0 * k * q * cos_kd
-    # The asymptotic form is NaN near a resonance and evaluated elsewhere,
-    # NaN res_den included.
+    res_den = (k2 - q2) * t.sin - 2.0 * k * q * t.cos
+    # Away from a resonance, NaN res_den included, the wide-barrier form
+    # takes sin 2kd, which raises where 2kd is infinite, and divides by
+    # res_den ** 2. Its other divisor, k2 + q2, is zero only where t_opaque
+    # is already not finite.
     far = ~(np.abs(res_den) < RESONANCE_DENOMINATOR_CUTOFF * (k2 + q2))
+    bad |= far & (np.isinf(2.0 * k * d) | (res_den * res_den == 0.0))
+    return t_whole, t_between, t_barriers, t_opaque, np.where(far, res_den, np.nan)
+
+
+def _asymptotic(k, q, d, units: UnitsConfig, t: _Terms, res_den) -> np.ndarray:
+    """The wide-barrier form of t_between from the res_den of _times, NaN
+    where that is; only for sets that _times did not mark bad."""
+    m, hbar = units.mass, units.hbar
+    k2, q2 = k * k, q * q
     numer = (
         2.0 * k * d * (k2 + q2)
-        + 4.0 * k * q * sin_kd * sin_kd
-        + (k2 - q2) * _each_finite(math.sin, np.where(far, 2.0 * k * d, 0.0), bad)
+        + 4.0 * k * q * t.sin * t.sin
+        + (k2 - q2) * _each(math.sin, np.where(np.isnan(res_den), 0.0, 2.0 * k * d))
     )
-    res_den2 = res_den * res_den
-    # The finiteness check above does not see t_asym. Its other divisor,
-    # k2 + q2, is zero only where t_opaque is already not finite.
-    bad |= far & (res_den2 == 0.0)
-    t_asym = (4.0 * m * q2 / hbar) * t.nh / (k2 + q2) * numer / res_den2
-    return t_whole, t_between, t_barriers, t_opaque, np.where(far, t_asym, np.nan)
+    return (4.0 * m * q2 / hbar) * t.nh / (k2 + q2) * numer / (res_den * res_den)
 
 
 def _amplitude(k, p, q, a, d, t: _Terms, bad: np.ndarray):
@@ -404,6 +410,15 @@ def _amplitude(k, p, q, a, d, t: _Terms, bad: np.ndarray):
 
 
 def _proximity(k, q, d, bad: np.ndarray) -> np.ndarray:
+    """|sin(kd - phi0)|: scaled distance from perfect-transmission spacing;
+    marks bad where kd - phi0 is infinite.
+
+    The resonance condition in the inter-barrier spacing d reads
+    (k^2 - q^2) sin(kd) = 2kq cos(kd), i.e. sin(kd - phi0) = 0 with
+    tan(phi0) = 2kq/(k^2 - q^2). Squared, this is the factor by which
+    near-resonance terms are enhanced, so the proximity is directly the
+    relevant smallness scale. Range [0, 1]; 0 exactly on resonance.
+    """
     phi0 = _each(math.atan2, 2.0 * k * q, k * k - q * q)
     return np.abs(_each_finite(math.sin, k * d - phi0, bad))
 
@@ -480,9 +495,11 @@ def times(params: DoubleBarrierParams) -> DoubleBarrierTimes:
     k, q, a, d = _arrays(params.k, params.q, params.a, params.d)
     bad = np.zeros(1, bool)
     with np.errstate(all="ignore"):
-        values = _times(k, q, a, d, params.units, _terms(k, q, a, d, bad), bad)
-    if bad[0]:
-        raise params.float_range_error()
+        t = _terms(k, q, a, d, bad)
+        *values, res_den = _times(k, q, a, d, params.units, t, bad)
+        if bad[0]:
+            raise params.float_range_error()
+        values.append(_asymptotic(k, q, d, params.units, t, res_den))
     return DoubleBarrierTimes(*(float(v[0]) for v in values))
 
 
@@ -492,31 +509,18 @@ def opaque_limit_gap(params: DoubleBarrierParams) -> float:
     return abs(t.t_whole - t.t_opaque) / t.t_opaque
 
 
-def resonance_proximity(params: DoubleBarrierParams) -> float:
-    """|sin(kd - phi0)|: scaled distance from perfect-transmission spacing.
-
-    The resonance condition in the inter-barrier spacing d reads
-    (k^2 - q^2) sin(kd) = 2kq cos(kd), i.e. sin(kd - phi0) = 0 with
-    tan(phi0) = 2kq/(k^2 - q^2). Squared, this is the factor by which
-    near-resonance terms are enhanced, so the proximity is directly the
-    relevant smallness scale. Range [0, 1]; 0 exactly on resonance.
-    """
+def near_resonance(params: DoubleBarrierParams) -> bool:
+    """True when the spacing sits close enough to a transmission resonance
+    that d-comparisons across different barrier widths are dominated by
+    the peaks rather than the plateaus: its proximity is below
+    NEAR_RESONANCE_CUTOFF."""
     k, q, d = _arrays(params.k, params.q, params.d)
     bad = np.zeros(1, bool)
     with np.errstate(all="ignore"):
         proximity = _proximity(k, q, d, bad)
     if bad[0]:
         raise params.float_range_error("proximity values")
-    return float(proximity[0])
-
-
-def near_resonance(
-    params: DoubleBarrierParams, cutoff: float = NEAR_RESONANCE_CUTOFF
-) -> bool:
-    """True when the spacing sits close enough to a transmission resonance
-    that d-comparisons across different barrier widths are dominated by
-    the peaks rather than the plateaus."""
-    return resonance_proximity(params) < cutoff
+    return float(proximity[0]) < NEAR_RESONANCE_CUTOFF
 
 
 def asymptotic_agreement(params: DoubleBarrierParams) -> float:

@@ -1,5 +1,16 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "TunnelClockError",
+    "InvalidParameterError",
+    "DegenerateEnergyError",
+    "InvalidPerturbationError",
+    "CouplingTooStrongError",
+    "UndefinedReadingError",
+    "OpaqueUnderflowError",
+    "CouplingWarning",
+]
+
 
 class TunnelClockError(Exception):
     """Base class for every error raised by this package."""

@@ -18,8 +18,6 @@ __all__ = [
     "ClockRegion",
     "PiecewiseConstantPotential",
     "double_barrier",
-    "free_potential",
-    "evaluate",
     "perturb",
     "reflected",
 ]
@@ -61,10 +59,6 @@ class ClockRegion:
                 f"clock region needs z1 < z2, got ({self.z1}, {self.z2})"
             )
 
-    @property
-    def width(self) -> float:
-        return self.z2 - self.z1
-
 
 def _check_finite(values) -> None:
     if not all(map(math.isfinite, values)):
@@ -104,15 +98,11 @@ class PiecewiseConstantPotential:
         return self.breakpoints[0], self.breakpoints[-1]
 
     def __call__(self, z: float) -> float:
-        return evaluate(self, z)
-
-
-def evaluate(potential: PiecewiseConstantPotential, z: float) -> float:
-    """Potential value at z under the half-open region convention."""
-    bp = potential.breakpoints
-    if z < bp[0] or z >= bp[-1]:
-        return 0.0
-    return potential.heights[bisect.bisect_right(bp, z) - 1]
+        """Potential value at z under the half-open region convention."""
+        bp = self.breakpoints
+        if z < bp[0] or z >= bp[-1]:
+            return 0.0
+        return self.heights[bisect.bisect_right(bp, z) - 1]
 
 
 def double_barrier(v0: float, a: float, d: float) -> PiecewiseConstantPotential:
@@ -127,11 +117,6 @@ def double_barrier(v0: float, a: float, d: float) -> PiecewiseConstantPotential:
     return PiecewiseConstantPotential((0.0, a, a + d, 2 * a + d), (v0, 0.0, v0))
 
 
-def free_potential(origin: float = 0.0) -> PiecewiseConstantPotential:
-    """Identically-zero potential (single breakpoint, no interior regions)."""
-    return PiecewiseConstantPotential((origin,), ())
-
-
 def _clock_cuts(
     potential: PiecewiseConstantPotential, region: ClockRegion
 ) -> tuple[tuple[float, ...], list[float], list[bool]]:
@@ -144,7 +129,7 @@ def _clock_cuts(
     cuts = tuple(sorted(set(potential.breakpoints) | {region.z1, region.z2}))
     bases, inside = [], []
     for lo, hi in zip(cuts, cuts[1:]):
-        bases.append(evaluate(potential, lo))
+        bases.append(potential(lo))
         inside.append(region.z1 <= lo and hi <= region.z2)
     return cuts, bases, inside
 

@@ -23,11 +23,11 @@ doubles tau. Doubling is exact in floating point, so omega and the shift
 scale hbar*omega of a row are exactly half those of the row before (short
 of subnormal underflow), and level 2m of a row has the shift
 float(2m)*(s/2) == float(m)*s of level m of the row before: every even
-level of a later row was already solved. The series keeps the previous
-row's (T, R) keyed by the exact bits of each shift, looks every level up
-there first and solves only what is missing, so each row equals its own
-measurement_simulation bit for bit; keying by bits rather than by float
-equality also holds where the shifts underflow to +-0.0.
+level of a later row was already solved. The series keeps one dict of
+(T, R) keyed by the exact bits of each shift for the whole call, looks
+every level up there first and solves only what is missing, so each row
+equals its own measurement_simulation bit for bit; keying by bits rather
+than by float equality also holds where the shifts underflow to +-0.0.
 
 Pointer readings take the exact first trigonometric moment of the angular
 density and the time expectation one FFT of the amplitudes, so neither
@@ -275,10 +275,10 @@ def _reading(
     bound: float,
     level: Callable[[float], tuple[complex, complex]],
     known: dict[str, tuple[complex, complex]],
-) -> tuple[MeasurementResult, dict[str, tuple[complex, complex]]]:
-    """One reading, and the (T, R) of its levels keyed by the exact bits of
-    their shifts. A level whose shift is in known takes its (T, R) from
-    there; every other level is solved once.
+) -> MeasurementResult:
+    """One reading. known holds (T, R) keyed by the exact bits of a shift:
+    a level whose shift is there takes its (T, R) from it, and every other
+    level is solved once and added.
 
     Only measurement_simulation and measurement_series call this, so the
     coupling warning points at their caller.
@@ -300,14 +300,13 @@ def _reading(
         )
 
     # float.hex keeps 0.0 and -0.0 apart, which == would equate.
-    levels: dict[str, tuple[complex, complex]] = {}
     amplitudes = []
     for m in rotor.levels.tolist():
         strength = float(m) * shift_scale
         key = strength.hex()
-        if key not in levels:
-            levels[key] = known[key] if key in known else level(strength)
-        amplitudes.append(levels[key])
+        if key not in known:
+            known[key] = level(strength)
+        amplitudes.append(known[key])
     transmitted, reflected = (
         np.array(channel) / math.sqrt(rotor.N) for channel in zip(*amplitudes)
     )
@@ -329,13 +328,12 @@ def _reading(
         )
     else:
         r_reading = None
-    result = MeasurementResult(
+    return MeasurementResult(
         transmitted=t_reading,
         reflected=r_reading,
         transmitted_weight=t_weight,
         reflected_weight=r_weight,
     )
-    return result, levels
 
 
 def measurement_simulation(
@@ -357,7 +355,7 @@ def measurement_simulation(
     too strong for the energy margin raises CouplingTooStrongError.
     """
     bound, level = _level_solver(potential, region, energy, units)
-    return _reading(rotor, units, bound, level, {})[0]
+    return _reading(rotor, units, bound, level, {})
 
 
 def measurement_series(
@@ -374,7 +372,7 @@ def measurement_series(
     tau, which halves omega and so the coupling. Each row is paired with
     its rotor and is None where the coupling is too strong for the energy
     margin. Every row equals its own measurement_simulation bit for bit;
-    the levels a row shares with the one before it are not solved again.
+    a level whose shift an earlier row solved is not solved again.
     """
     if halvings < 0:
         raise InvalidParameterError(f"halvings must be >= 0, got {halvings}")
@@ -386,7 +384,7 @@ def measurement_series(
             # Doubling is exact; past the float range ClockRotor rejects tau.
             rotor = ClockRotor(rotor.N, rotor.tau * 2.0)
         try:
-            result, known = _reading(rotor, units, bound, level, known)
+            result = _reading(rotor, units, bound, level, known)
         except CouplingTooStrongError:
             result = None
         rows.append((rotor, result))

@@ -1,0 +1,69 @@
+"""The public API: one declaration per name, and the benchmark harness's
+bindings to it.
+
+The package re-exports every library module's ``__all__``; the CLI
+module is the entry point and is not re-exported. ``benchmarks/tracing.py``
+wraps layer functions by name and ``benchmarks/verify.py`` calls the
+library directly, so a rename that breaks either shows here, in the
+tier-1 suite, rather than only when the benchmark runs.
+"""
+
+import importlib
+import importlib.util
+import pkgutil
+from pathlib import Path
+
+import tunnelclock
+from tunnelclock import cli
+
+BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
+NOT_REEXPORTED = {"cli", "__main__"}
+
+
+def _load(path: Path):
+    spec = importlib.util.spec_from_file_location(f"_loaded_{path.stem}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _library_modules():
+    names = sorted(info.name for info in pkgutil.iter_modules(tunnelclock.__path__))
+    return [importlib.import_module(f"tunnelclock.{name}")
+            for name in names if name not in NOT_REEXPORTED]
+
+
+def test_package_all_is_the_union_of_module_alls():
+    declared = [name for module in _library_modules() for name in module.__all__]
+    assert len(set(declared)) == len(declared)
+    assert len(set(tunnelclock.__all__)) == len(tunnelclock.__all__)
+    assert set(tunnelclock.__all__) == set(declared) | {"__version__"}
+
+
+def test_every_exported_name_resolves_to_its_module_object():
+    for module in _library_modules():
+        for name in module.__all__:
+            assert getattr(tunnelclock, name) is getattr(module, name), name
+    assert isinstance(tunnelclock.__version__, str)
+
+
+def test_tracing_harness_binds_every_layer_function():
+    tracing = _load(BENCHMARKS / "tracing.py")
+    for module_name, function in tracing.LAYER_FUNCTIONS:
+        module = importlib.import_module(f"tunnelclock.{module_name}")
+        assert callable(getattr(module, function)), (module_name, function)
+        assert function in module.__all__, (module_name, function)
+
+
+def test_verify_accepts_a_double_barrier_times_output(capsys):
+    verify = _load(BENCHMARKS / "verify.py")
+    argv = ["times", "--E", "0.01", "--V0", "0.018", "--a", "10", "--d", "10"]
+    assert cli.main(argv) == 0
+    text = capsys.readouterr().out
+    assert verify.failure(argv, text) is None
+    # A t_whole one percent off must be caught, or the check shows nothing.
+    header, row = text.splitlines()[-2:]
+    values = row.split(",")
+    column = header.split(",").index("t_whole")
+    values[column] = repr(float(values[column]) * 1.01)
+    assert verify.failure(argv, text.replace(row, ",".join(values))) is not None

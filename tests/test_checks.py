@@ -55,7 +55,7 @@ def test_instance_shape():
             abs(inst.energy - h) >= 0.05 * vmax - 1e-15
             for h in inst.potential.heights
         )
-        assert inst.region.width >= 0.5
+        assert inst.region.z2 - inst.region.z1 >= 0.5
     assert len(counts) >= 3  # the draw actually varies the region count
 
 

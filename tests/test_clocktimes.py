@@ -20,7 +20,6 @@ from tunnelclock.potentials import (
     PiecewiseConstantPotential,
     UnitsConfig,
     double_barrier,
-    free_potential,
     perturb,
     reflected,
 )
@@ -30,11 +29,12 @@ WHOLE = ClockRegion(0.0, 30.0)
 ASYM = PiecewiseConstantPotential(
     (0.0, 4.0, 7.0, 13.0, 18.0), (0.02, 0.0, 0.012, 0.025)
 )
+FREE = PiecewiseConstantPotential((0.0,), ())
 
 
 def test_free_particle_crossing_time():
     # k = 1 at E = 0.5, so the crossing time equals the region length
-    result = clock_times(free_potential(), ClockRegion(0.0, 5.0), 0.5)
+    result = clock_times(FREE, ClockRegion(0.0, 5.0), 0.5)
     assert result.transmitted == pytest.approx(5.0, rel=1e-10)
     assert result.dwell == pytest.approx(5.0, rel=1e-12)
     assert result.reflected is None

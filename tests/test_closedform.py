@@ -13,10 +13,10 @@ from tunnelclock.closedform import (
     NEAR_RESONANCE_CUTOFF,
     DoubleBarrierParams,
     asymptotic_agreement,
+    grid,
     near_resonance,
     opaque_limit_gap,
     perturbed_amplitude,
-    resonance_proximity,
     times,
 )
 from tunnelclock.errors import (
@@ -264,24 +264,28 @@ def test_asymptotic_nan_on_resonance():
     assert math.isnan(times(p).t_between_asymptotic)
 
 
+def _proximity(params):
+    rows = grid(params.V0, params.a, params.d, params.E, params.units)
+    return float(rows.proximity[0])
+
+
 def test_resonance_proximity_values():
     p0 = DoubleBarrierParams(V0=0.018, a=30.0, d=10.0, E=0.01)
     k, q = p0.k, p0.q
     d_res = math.atan2(2.0 * k * q, k * k - q * q) / k
     assert d_res == pytest.approx(10.3199, abs=2e-4)
     on_peak = DoubleBarrierParams(V0=0.018, a=30.0, d=d_res, E=0.01)
-    assert resonance_proximity(on_peak) == pytest.approx(0.0, abs=1e-12)
+    assert _proximity(on_peak) == pytest.approx(0.0, abs=1e-12)
     assert near_resonance(on_peak)
     off = DoubleBarrierParams(V0=0.018, a=30.0, d=10.0, E=0.01)
-    s = resonance_proximity(off)
+    s = _proximity(off)
     assert 0.03 < s < 0.06
     assert not near_resonance(off)
-    assert near_resonance(off, cutoff=0.1)
     # periodic in d with period pi/k
     shifted = DoubleBarrierParams(
         V0=0.018, a=30.0, d=10.0 + math.pi / k, E=0.01
     )
-    assert resonance_proximity(shifted) == pytest.approx(s, rel=1e-9)
+    assert _proximity(shifted) == pytest.approx(s, rel=1e-9)
     assert 0.0 < NEAR_RESONANCE_CUTOFF < 1.0
 
 

@@ -20,7 +20,6 @@ from tunnelclock.closedform import (
     grid,
     near_resonance,
     perturbed_amplitude,
-    resonance_proximity,
     times,
 )
 from tunnelclock.errors import InvalidParameterError
@@ -290,11 +289,11 @@ def test_point_wrappers_equal_the_scalar_oracle(point, units, coupling_fraction)
     if got is not None:
         assert _same(got.real, expected.real) and _same(got.imag, expected.imag)
     expected = _outcome(_oracle_proximity, V0, d, E, mass, hbar)
-    got = _outcome(resonance_proximity, params)
+    got = _outcome(near_resonance, params)
     assert (got is None) == (expected is None)
     if got is not None:
-        assert _same(got, expected)
-        assert near_resonance(params) == (expected < NEAR_RESONANCE_CUTOFF)
+        assert _same(float(grid(V0, a, d, E, params.units).proximity[0]), expected)
+        assert got == (expected < NEAR_RESONANCE_CUTOFF)
 
 
 def test_every_float_range_extreme_matches_the_oracle():
@@ -312,6 +311,17 @@ def test_every_float_range_extreme_matches_the_oracle():
                 got = (rows.t_whole[i], rows.t_between[i], rows.t_barriers[i],
                        rows.t_opaque[i], rows.trans_prob[i])
                 assert all(map(_same, map(float, got), expected[0]))
+
+
+def test_grid_flags_a_set_where_only_the_wide_barrier_form_raises():
+    # kd is finite and so are the four times, but sin 2kd raises in times
+    point = (0.505, 1.0, 1e308, 0.5)
+    rows = grid(*point)
+    got = (rows.t_whole, rows.t_between, rows.t_barriers, rows.t_opaque)
+    assert all(np.isfinite(value[0]) for value in got)
+    assert _outcome(_oracle_times, *point, 1.0, 1.0) is None
+    assert _outcome(times, DoubleBarrierParams(*point)) is None
+    assert not rows.ok[0]
 
 
 def test_grid_raises_no_warning():

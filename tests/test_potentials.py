@@ -11,8 +11,6 @@ from tunnelclock.potentials import (
     PiecewiseConstantPotential,
     UnitsConfig,
     double_barrier,
-    evaluate,
-    free_potential,
     perturb,
     reflected,
 )
@@ -37,18 +35,13 @@ def test_double_barrier_last_breakpoint():
 
 def test_evaluate_half_open_convention():
     pot = double_barrier(0.018, 10.0, 10.0)
-    assert evaluate(pot, 5.0) == 0.018
-    assert evaluate(pot, 15.0) == 0.0
-    assert evaluate(pot, -1.0) == 0.0
+    assert pot(5.0) == 0.018
+    assert pot(15.0) == 0.0
+    assert pot(-1.0) == 0.0
     # at a breakpoint the region to the right wins
-    assert evaluate(pot, 10.0) == 0.0
-    assert evaluate(pot, 20.0) == 0.018
-    assert evaluate(pot, 30.0) == 0.0
-
-
-def test_potential_is_callable():
-    pot = double_barrier(0.018, 10.0, 10.0)
-    assert pot(5.0) == evaluate(pot, 5.0)
+    assert pot(10.0) == 0.0
+    assert pot(20.0) == 0.018
+    assert pot(30.0) == 0.0
 
 
 def test_breakpoints_must_increase():
@@ -70,7 +63,6 @@ def test_region_validation():
         ClockRegion(2.0, 1.0)
     with pytest.raises(InvalidParameterError):
         ClockRegion(0.0, math.inf)
-    assert ClockRegion(0.0, 2.5).width == 2.5
 
 
 def test_units_validation():
@@ -84,32 +76,33 @@ def test_perturb_middle_region():
     pot = double_barrier(0.018, 10.0, 10.0)
     eps = 1e-3
     shifted = perturb(pot, ClockRegion(10.0, 20.0), eps)
-    assert evaluate(shifted, 15.0) == pytest.approx(eps)
-    assert evaluate(shifted, 5.0) == 0.018
-    assert evaluate(shifted, 25.0) == 0.018
+    assert shifted(15.0) == pytest.approx(eps)
+    assert shifted(5.0) == 0.018
+    assert shifted(25.0) == 0.018
 
 
 def test_perturb_zero_strength_is_identity():
     pot = double_barrier(0.018, 10.0, 10.0)
     same = perturb(pot, ClockRegion(3.0, 17.0), 0.0)
     for z in (-1.0, 0.0, 3.0, 5.0, 10.0, 16.9, 17.0, 25.0, 31.0):
-        assert evaluate(same, z) == evaluate(pot, z)
+        assert same(z) == pot(z)
 
 
 def test_perturb_free_builds_barrier():
-    shifted = perturb(free_potential(), ClockRegion(0.0, 4.0), 0.25)
-    assert evaluate(shifted, 2.0) == 0.25
-    assert evaluate(shifted, -0.5) == 0.0
-    assert evaluate(shifted, 4.5) == 0.0
+    free = PiecewiseConstantPotential((0.0,), ())
+    shifted = perturb(free, ClockRegion(0.0, 4.0), 0.25)
+    assert shifted(2.0) == 0.25
+    assert shifted(-0.5) == 0.0
+    assert shifted(4.5) == 0.0
 
 
 def test_perturb_region_beyond_support():
     pot = double_barrier(0.018, 10.0, 10.0)
     shifted = perturb(pot, ClockRegion(-5.0, 35.0), 0.001)
-    assert evaluate(shifted, -2.0) == pytest.approx(0.001)
-    assert evaluate(shifted, 15.0) == pytest.approx(0.001)
-    assert evaluate(shifted, 5.0) == pytest.approx(0.019)
-    assert evaluate(shifted, 40.0) == 0.0
+    assert shifted(-2.0) == pytest.approx(0.001)
+    assert shifted(15.0) == pytest.approx(0.001)
+    assert shifted(5.0) == pytest.approx(0.019)
+    assert shifted(40.0) == 0.0
 
 
 @settings(max_examples=100)
@@ -124,7 +117,7 @@ def test_perturb_round_trip_pointwise(z1, width, strength, z):
     region = ClockRegion(z1, z1 + width)
     back = perturb(perturb(pot, region, strength), region, -strength)
     # (h + s) - s can sit 1 ulp off h, so exact equality is too strict
-    assert evaluate(back, z) == pytest.approx(evaluate(pot, z), abs=1e-17)
+    assert back(z) == pytest.approx(pot(z), abs=1e-17)
 
 
 @settings(max_examples=100)
@@ -139,8 +132,8 @@ def test_perturb_pointwise_definition(z1, width, strength, z):
     region = ClockRegion(z1, z1 + width)
     shifted = perturb(pot, region, strength)
     inside = region.z1 <= z < region.z2
-    expected = evaluate(pot, z) + (strength if inside else 0.0)
-    assert evaluate(shifted, z) == pytest.approx(expected, abs=1e-17)
+    expected = pot(z) + (strength if inside else 0.0)
+    assert shifted(z) == pytest.approx(expected, abs=1e-17)
 
 
 def test_reflected_mirrors_heights():
@@ -149,11 +142,11 @@ def test_reflected_mirrors_heights():
     assert mir.breakpoints == (-4.0, -1.0, 0.0)
     assert mir.heights == (0.2, 0.5)
     for z in (-3.5, -0.5, 0.5):
-        assert evaluate(mir, z) == evaluate(pot, -z)
+        assert mir(z) == pot(-z)
 
 
 def test_free_potential_is_zero_everywhere():
-    pot = free_potential()
+    pot = PiecewiseConstantPotential((0.0,), ())
     assert pot.heights == ()
     for z in (-10.0, 0.0, 10.0):
-        assert evaluate(pot, z) == 0.0
+        assert pot(z) == 0.0

@@ -21,7 +21,6 @@ from tunnelclock.potentials import (
     PiecewiseConstantPotential,
     UnitsConfig,
     double_barrier,
-    free_potential,
     perturb,
 )
 from tunnelclock.rotor import (
@@ -38,6 +37,7 @@ from tunnelclock.rotor import (
 )
 
 ROTOR = ClockRotor(21, 1.0)
+FREE = PiecewiseConstantPotential((0.0,), ())
 
 
 def normalized(amplitudes):
@@ -222,7 +222,7 @@ def test_free_time_of_flight():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         result = measurement_simulation(
-            free_potential(), ClockRegion(0.0, 5.0), 0.5, rotor
+            FREE, ClockRegion(0.0, 5.0), 0.5, rotor
         )
     # k = 1 at E = 0.5: crossing time equals the region length
     assert result.transmitted.t_read == pytest.approx(5.0, rel=1e-2)
@@ -238,7 +238,7 @@ def test_free_time_of_flight():
 def test_strong_coupling_warns_but_stays_accurate():
     with pytest.warns(CouplingWarning):
         result = measurement_simulation(
-            free_potential(), ClockRegion(0.0, 5.0), 0.5, ClockRotor(21, 40.0)
+            FREE, ClockRegion(0.0, 5.0), 0.5, ClockRotor(21, 40.0)
         )
     assert result.transmitted.t_read == pytest.approx(5.0, rel=1e-2)
 

@@ -17,8 +17,6 @@ from tunnelclock.potentials import (
     PiecewiseConstantPotential,
     UnitsConfig,
     double_barrier,
-    evaluate,
-    free_potential,
     reflected,
 )
 from tunnelclock import scattering
@@ -93,7 +91,7 @@ def _ode_oracle(potential, E, z_samples):
     k = math.sqrt(2.0 * E)
 
     def rhs(z, y):
-        v = evaluate(potential, z)
+        v = potential(z)
         return [y[2], y[3], 2.0 * (v - E) * y[0], 2.0 * (v - E) * y[1]]
 
     psi0 = cmath.exp(1j * k * hi)
@@ -190,7 +188,7 @@ def test_dwell_additivity():
 
 
 def test_free_potential_unit_transmission():
-    sol = solve(free_potential(), 0.5)
+    sol = solve(PiecewiseConstantPotential((0.0,), ()), 0.5)
     assert sol.transmission == pytest.approx(1.0, abs=1e-15)
     assert sol.reflection == 0.0
 
@@ -233,7 +231,7 @@ def test_phase_and_growth_beyond_float_range_rejected():
 
 def test_reflection_phase_undefined_on_exact_zero():
     # nothing reflects off the free potential, so R has no phase
-    sol = solve(free_potential(), 0.5)
+    sol = solve(PiecewiseConstantPotential((0.0,), ()), 0.5)
     assert sol.reflection == 0
     assert cmath.phase(sol.transmission) == pytest.approx(0.0, abs=1e-15)
 
@@ -418,7 +416,7 @@ def _window_cases():
     cases = []
     for pot, energy in ((stack, 0.012), (stack, 0.04),
                         (double_barrier(0.018, 10.0, 10.0), 0.01),
-                        (free_potential(2.5), 0.3)):
+                        (PiecewiseConstantPotential((2.5,), ()), 0.3)):
         bp = pot.breakpoints
         lo, hi = bp[0], bp[-1]
         regions = [
