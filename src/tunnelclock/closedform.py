@@ -11,36 +11,22 @@ overflow (2qa of a few hundred and beyond).
 The formulas run over float64 arrays, one element per parameter set:
 ``grid`` evaluates a whole sweep in one pass, and ``times``,
 ``perturbed_amplitude`` and ``near_resonance`` run the same code on
-arrays of length one. Each element equals, bit for bit, what plain
-CPython float and complex arithmetic gives for that parameter set alone,
-so the 17-digit CSV does not depend on how many points are evaluated at
-once:
-
-- numpy does only + - * /, sqrt, comparisons, ``where`` and ``hypot``.
-  These round exactly like CPython's float operations and the libm
-  ``hypot`` that CPython's complex ``abs`` calls.
-- exp, sin, cos, atan2 and every ``x ** 2`` run per element through the
-  math module and float pow. numpy's own transcendental functions, and
-  its ``x ** 2`` (an exact x * x where libm's pow(x, 2) may round the
-  other way), differ from them in the last bit.
-- Complex values are (real, imag) pairs combined by CPython 3.11's rules:
-  the product (ac - bd, ad + bc), with a float operand taken as (x, 0);
-  Smith's quotient; z ** 2 as 1 * (z * z); exp(z) as e^re (cos, sin) of
-  im; abs as hypot. numpy's complex product rounds differently.
-- Where the scalar arithmetic raises (a square that overflows, the sine
-  of an infinite phase, a zero divisor), the element is marked in a mask
-  instead. The arithmetic runs with numpy's warnings off.
+arrays of length one. The arrays round like scalar CPython arithmetic
+(see ``_arith``), so each element equals, bit for bit, what that
+parameter set alone gives, and the 17-digit CSV does not depend on how
+many points are evaluated at once. Where the scalar arithmetic would
+raise, the set is marked in a mask instead.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
+from ._arith import _cabs, _cdiv, _cexp, _cmul, _csquare, _each
 from .errors import (
     InvalidParameterError,
     InvalidPerturbationError,
@@ -128,7 +114,7 @@ class DoubleBarrierTimes:
     contributions of the gap and of the two barriers; t_opaque is the
     common opaque limit of t_whole and t_barriers; t_between_asymptotic
     is the leading wide-barrier form of t_between (NaN marks a resonance
-    of its denominator).
+    of its denominator, or a form that leaves the float range).
     """
 
     t_whole: float
@@ -173,11 +159,6 @@ def _arrays(*values) -> list[np.ndarray]:
     return [np.atleast_1d(v) for v in arrays]
 
 
-def _each(function, *arrays: np.ndarray) -> np.ndarray:
-    """function applied per element to Python floats."""
-    return np.array(list(map(function, *(x.tolist() for x in arrays))), dtype=float)
-
-
 def _each_finite(function, x: np.ndarray, bad: np.ndarray) -> np.ndarray:
     """math.sin or math.cos per element; marks bad where x is infinite,
     where they raise."""
@@ -204,63 +185,6 @@ def _square(x: np.ndarray, bad: np.ndarray) -> np.ndarray:
         except OverflowError:
             bad[i] = True
     return y
-
-
-def _cmul(x, y):
-    """Complex product of (real, imag) pairs; a float operand is (x, 0.0)."""
-    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
-
-
-def _csquare(z, bad: np.ndarray):
-    """z ** 2 as CPython forms it, 1 * (z * z); marks bad where a part is
-    infinite, where it raises."""
-    r = _cmul((1.0, 0.0), _cmul(z, z))
-    bad |= np.isinf(r[0]) | np.isinf(r[1])
-    return r
-
-
-def _cdiv(x, y, bad: np.ndarray):
-    """Smith's quotient x / y; marks bad where y is zero, where it raises."""
-    abs_re, abs_im = np.abs(y[0]), np.abs(y[1])
-    by_re = abs_re >= abs_im
-    by_im = ~by_re & (abs_im >= abs_re)
-    bad |= by_re & (abs_re == 0.0)
-    ratio = y[1] / y[0]
-    den = y[0] + y[1] * ratio
-    re_r, im_r = (x[0] + x[1] * ratio) / den, (x[1] - x[0] * ratio) / den
-    ratio = y[0] / y[1]
-    den = y[0] * ratio + y[1]
-    re_i, im_i = (x[0] * ratio + x[1]) / den, (x[1] * ratio - x[0]) / den
-    # Neither branch holds where a part of y is NaN.
-    return (np.where(by_re, re_r, np.where(by_im, re_i, np.nan)),
-            np.where(by_re, im_r, np.where(by_im, im_i, np.nan)))
-
-
-def _cexp(z, bad: np.ndarray):
-    """cmath.exp per element; marks bad where it raises.
-
-    For a finite z with a moderate real part it is e^re (cos im, sin im);
-    any other element goes through cmath.exp itself.
-    """
-    plain = np.isfinite(z[1]) & (np.abs(z[0]) < 700.0)
-    re, im = np.where(plain, z[0], 0.0), np.where(plain, z[1], 0.0)
-    scale = _each(math.exp, re)
-    re, im = scale * _each(math.cos, im), scale * _each(math.sin, im)
-    for i in np.flatnonzero(~plain):
-        try:
-            w = cmath.exp(complex(z[0][i], z[1][i]))
-            re[i], im[i] = w.real, w.imag
-        except (ValueError, OverflowError):
-            bad[i] = True
-    return re, im
-
-
-def _cabs(z, bad: np.ndarray) -> np.ndarray:
-    """abs of a complex per element: infinite if a part is, NaN if a part
-    is NaN, else hypot; marks bad where hypot overflows, where it raises."""
-    h = np.hypot(z[0], z[1])
-    bad |= np.isfinite(z[0]) & np.isfinite(z[1]) & np.isinf(h)
-    return np.where(np.isinf(z[0]) | np.isinf(z[1]), np.inf, h)
 
 
 def _terms(p, q, a, d, bad: np.ndarray) -> _Terms:
@@ -344,8 +268,8 @@ def _scaled_gammas(k, q, a, d, t: _Terms, bad: np.ndarray):
 def _times(k, q, a, d, units: UnitsConfig, t: _Terms, bad: np.ndarray):
     """(t_whole, t_between, t_barriers, t_opaque, res_den), res_den being
     the resonance denominator of the wide-barrier form, NaN near a
-    resonance; marks bad where a time is not finite or the arithmetic of
-    times, its wide-barrier form included, would raise."""
+    resonance and where that form would raise; marks bad where a time is
+    not finite or its arithmetic would raise."""
     m, hbar = units.mass, units.hbar
     alpha, beta = _scaled_alpha_beta(k, k, q, t)
     g1, g2, g3, g4 = _scaled_gammas(k, q, a, d, t, bad)
@@ -363,13 +287,13 @@ def _times(k, q, a, d, units: UnitsConfig, t: _Terms, bad: np.ndarray):
         bad |= ~np.isfinite(value)
 
     res_den = (k2 - q2) * t.sin - 2.0 * k * q * t.cos
-    # Away from a resonance, NaN res_den included, the wide-barrier form
-    # takes sin 2kd, which raises where 2kd is infinite, and divides by
-    # res_den ** 2. Its other divisor, k2 + q2, is zero only where t_opaque
-    # is already not finite.
+    # The wide-barrier form takes sin 2kd, which raises where 2kd is
+    # infinite, and divides by res_den ** 2. Where either fails the form
+    # is NaN, like at a resonance, and the printed times stand. Its other
+    # divisor, k2 + q2, is zero only where t_opaque is already not finite.
     far = ~(np.abs(res_den) < RESONANCE_DENOMINATOR_CUTOFF * (k2 + q2))
-    bad |= far & (np.isinf(2.0 * k * d) | (res_den * res_den == 0.0))
-    return t_whole, t_between, t_barriers, t_opaque, np.where(far, res_den, np.nan)
+    usable = far & ~np.isinf(2.0 * k * d) & (res_den * res_den != 0.0)
+    return t_whole, t_between, t_barriers, t_opaque, np.where(usable, res_den, np.nan)
 
 
 def _asymptotic(k, q, d, units: UnitsConfig, t: _Terms, res_den) -> np.ndarray:
@@ -526,8 +450,9 @@ def near_resonance(params: DoubleBarrierParams) -> bool:
 def asymptotic_agreement(params: DoubleBarrierParams) -> float:
     """Relative deviation of t_between from its wide-barrier asymptotic form.
 
-    Requires qa > 2 (asymptotic regime guard). NaN when the asymptotic
-    denominator sits on a resonance. Raises OpaqueUnderflowError when the
+    Requires qa > 2 (asymptotic regime guard). NaN where the asymptotic
+    form is: on a resonance of its denominator, or out of the float range.
+    Raises OpaqueUnderflowError when the
     regime is so opaque that t_between has decayed below the representable
     comparison floor.
     """

@@ -347,6 +347,13 @@ GOLDEN_SHA256 = [
      "298cb02e5dfb7c49b354649372d09e80dd94aaa7e8d377a0962f645aab5c5c4e"),
     ("sweep --axis E --start 1e-320 --stop 1e-300 --count 7 --V0 0.018 --a 10 --d 10",
      "038884f8f33b1a855b756665867ea5e8fe5431e67ff69dc2d254b07f4b1aac39"),
+    # recorded with one scalar sweep per level before the levels became a
+    # lane batch: every lane plain, and an opaque stack where 362 of row
+    # 0's 401 levels rescale
+    ("clock-sim --N 401 --tau 4000 --halvings 3 --E 0.01 --V0 0.018 --a 10 --d 10",
+     "70e294fa360da429ee26615a4a47c334a738a55cbc261fdc7f073ffec53f489d"),
+    ("clock-sim --N 401 --tau 4000 --halvings 3 --E 0.01 --V0 0.018 --a 1150 --d 10",
+     "08ddb95fb3d41d49a24122b696b411d14714494636334981497fd4906ae93946"),
 ]
 
 

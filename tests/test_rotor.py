@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from tunnelclock import cli, scattering
+from tunnelclock import cli, rotor, scattering
 from tunnelclock.clocktimes import clock_times
 from tunnelclock.errors import (
     CouplingTooStrongError,
@@ -505,6 +505,28 @@ def test_clock_sim_solves_each_distinct_shift_once(monkeypatch, capsys):
             " --E 0.01 --V0 0.018 --a 10 --d 10").split()
     assert cli.main(argv) == 0
     assert len(sweeps) == 2 + 21 + 3 * 10
+    rows = [l for l in capsys.readouterr().out.splitlines() if l[0].isdigit()]
+    assert len(rows) == 4 and all(row.endswith(",0") for row in rows)
+
+
+def test_clock_sim_solves_each_distinct_shift_once_as_lanes(monkeypatch, capsys):
+    # row 0's 401 shifts and each later row's 200 odd ones go to one lane
+    # batch, 1001 shifts, and no level runs the scalar sweep: only
+    # clock_times' two solves for the t_perturbative column do
+    batches = []
+    lanes = rotor._lanes
+
+    def counting(*args):
+        batches.append(len(args[5]))
+        return lanes(*args)
+
+    monkeypatch.setattr(rotor, "_lanes", counting)
+    sweeps = count_sweeps(monkeypatch)
+    argv = ("clock-sim --N 401 --tau 4000 --halvings 3"
+            " --E 0.01 --V0 0.018 --a 10 --d 10").split()
+    assert cli.main(argv) == 0
+    assert batches == [401 + 3 * 200]
+    assert len(sweeps) == 2
     rows = [l for l in capsys.readouterr().out.splitlines() if l[0].isdigit()]
     assert len(rows) == 4 and all(row.endswith(",0") for row in rows)
 

@@ -1,7 +1,10 @@
 """Smoke runs of the scripts under scripts/, with small arguments."""
 
+import hashlib
 import importlib.util
 from pathlib import Path
+
+import pytest
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -25,6 +28,18 @@ def test_clock_convergence_prints_one_row_per_coupling(capsys):
     # the error ratio column of the later rows shows quadratic convergence
     ratios = [float(row.split()[-1]) for row in rows[1:]]
     assert all(3.5 < ratio < 4.5 for ratio in ratios)
+
+
+@pytest.mark.parametrize("argv, digest", [
+    ([], "4e1d5b19185ed3af88712eca86c4d02c16997ab1757a188a507a5212aeace278"),
+    (["--N", "401", "--halvings", "3"],
+     "612d990455a19073d437d3274d04b2570bff63be3d90931241a161f9fbc17e6d"),
+])
+def test_clock_convergence_table_is_unchanged(capsys, argv, digest):
+    # SHA-256 of the printed table, recorded with one scalar sweep per level
+    assert _load("clock_convergence").main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 def test_fig1_data_writes_both_panels(tmp_path, capsys):
