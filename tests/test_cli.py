@@ -354,11 +354,24 @@ GOLDEN_SHA256 = [
      "70e294fa360da429ee26615a4a47c334a738a55cbc261fdc7f073ffec53f489d"),
     ("clock-sim --N 401 --tau 4000 --halvings 3 --E 0.01 --V0 0.018 --a 1150 --d 10",
      "08ddb95fb3d41d49a24122b696b411d14714494636334981497fd4906ae93946"),
+    # recorded with chi from a second solve of the mirrored potential:
+    # q * width = 1000, so the sweeps of psi and chi both fold, and the
+    # clock region straddles the barrier
+    ("times --potential wide.txt --E 0.5 --z1 -2.5 --z2 1002.5",
+     "0c589cda250b5af413f92c80418e4941b7255723f1149b0433cd2d8a9e27eb32"),
+    # the 240-region stack of _stack_text, opaque enough at mass 1000 that
+    # both sweeps rescale; the clock region sticks out on both sides
+    ("times --potential stack.txt --E 0.012 --z1 -3.5 --z2 261.5 --mass 1000",
+     "280d98fb1b75a226de10541516cb912a4b5dbb6d49d005fc552833e9d54ed314"),
 ]
 
 
 @pytest.mark.parametrize("command, digest", GOLDEN_SHA256)
-def test_golden_output(tmp_path, command, digest):
+def test_golden_output(tmp_path, monkeypatch, command, digest):
+    # the output names the potential file, so run from its directory
+    (tmp_path / "wide.txt").write_text(WIDE_BARRIER_FILE, encoding="utf-8")
+    (tmp_path / "stack.txt").write_text(_stack_text(), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
     code, text = run_to_file(tmp_path, command.split())
     assert code == 0
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest

@@ -17,7 +17,6 @@ from tunnelclock.potentials import (
     PiecewiseConstantPotential,
     UnitsConfig,
     double_barrier,
-    reflected,
 )
 from tunnelclock import scattering
 from tunnelclock.scattering import _scaled_exp, dwell_time, overlap_integrals, solve
@@ -39,6 +38,14 @@ def wavefunction_at(sol, z):
 def wavefunction_derivative_at(sol, z):
     kappa, fwd, bwd = _wave_terms(sol, z)
     return 1j * kappa * (fwd - bwd)
+
+
+def _reflected(potential):
+    """Spatial mirror image z -> -z of the potential."""
+    return PiecewiseConstantPotential(
+        tuple(-z for z in reversed(potential.breakpoints)),
+        tuple(reversed(potential.heights)),
+    )
 
 
 def rectangular_barrier(v0, width):
@@ -341,7 +348,7 @@ def test_wavefunction_continuity_property(inst):
 def test_transmission_magnitude_reciprocity(inst):
     potential, energy = inst
     fwd = solve(potential, energy)
-    bwd = solve(reflected(potential), energy)
+    bwd = solve(_reflected(potential), energy)
     assert abs(fwd.transmission) == pytest.approx(
         abs(bwd.transmission), rel=1e-12, abs=1e-300
     )
@@ -405,7 +412,10 @@ def _full_sums(sol, mirror, region):
 def _window_cases():
     """Seeded potentials and clock regions: endpoints on breakpoints,
     regions outside the support, regions covering the whole potential and
-    the free potential with a single breakpoint."""
+    the free potential with a single breakpoint. The last two potentials
+    pin the mirror path where it leaves plain arithmetic: a barrier with
+    q * width = 1000, whose sweeps fold, and a 240-region stack opaque
+    enough at mass 1000 that both sweeps rescale."""
     rng = random.Random(11)
     heights = [rng.choice((rng.uniform(0.004, 0.03), 0.0, -rng.uniform(0.002, 0.02)))
                for _ in range(120)]
@@ -413,10 +423,28 @@ def _window_cases():
     for _ in heights:
         bps.append(bps[-1] + rng.uniform(0.3, 4.0))
     stack = PiecewiseConstantPotential(tuple(bps), tuple(heights))
+    # the stack of the generic-stack golden digests in test_cli.py
+    opaque_rng = random.Random(8)
+    heights, bps = [], [0.0]
+    for _ in range(240):
+        u = opaque_rng.random()
+        if u < 0.5:
+            heights.append(opaque_rng.uniform(0.004, 0.03))
+        elif u < 0.75:
+            heights.append(0.0)
+        else:
+            heights.append(-opaque_rng.uniform(0.002, 0.02))
+        bps.append(bps[-1] + opaque_rng.uniform(0.25, 2.0))
+    opaque = PiecewiseConstantPotential(tuple(bps), tuple(heights))
+    natural = UnitsConfig()
     cases = []
-    for pot, energy in ((stack, 0.012), (stack, 0.04),
-                        (double_barrier(0.018, 10.0, 10.0), 0.01),
-                        (PiecewiseConstantPotential((2.5,), ()), 0.3)):
+    for pot, energy, units in (
+        (stack, 0.012, natural), (stack, 0.04, natural),
+        (double_barrier(0.018, 10.0, 10.0), 0.01, natural),
+        (PiecewiseConstantPotential((2.5,), ()), 0.3, natural),
+        (PiecewiseConstantPotential((0.0, 1000.0), (1.0,)), 0.5, natural),
+        (opaque, 0.012, UnitsConfig(mass=1000.0)),
+    ):
         bp = pot.breakpoints
         lo, hi = bp[0], bp[-1]
         regions = [
@@ -429,14 +457,23 @@ def _window_cases():
             z1 = rng.uniform(lo - 4.0, hi + 3.0)
             regions.append((z1, z1 + rng.uniform(1e-9, 0.5 * (hi - lo) + 4.0)))
             regions.append((bp[i], rng.uniform(bp[i] + 1e-6, hi + 4.0)))
-        cases += [(pot, energy, ClockRegion(*zs)) for zs in regions if zs[0] < zs[1]]
+        cases += [(pot, energy, units, ClockRegion(*zs))
+                  for zs in regions if zs[0] < zs[1]]
     return cases
 
 
+def _hex(values):
+    return [part.hex() for v in values for part in (v.real, v.imag)]
+
+
 def test_windowed_integrals_equal_the_full_sum():
-    for pot, energy, region in _window_cases():
-        sol = solve(pot, energy)
-        mirror = solve(reflected(pot), energy)
+    folds = rescales = 0
+    for pot, energy, units, region in _window_cases():
+        sol = solve(pot, energy, units)
+        mirror = solve(_reflected(pot), energy, units)
+        folds += len(pot.heights) == 1 and sol.logscale[0] > 0 < mirror.logscale[0]
+        rescales += len(pot.heights) == 240 and sol.logscale[0] > 0 < mirror.logscale[0]
         dwell, psi2, psichi = _full_sums(sol, mirror, region)
-        assert dwell_time(sol, region) == dwell
-        assert overlap_integrals(sol, mirror, region) == (psi2, psichi)
+        assert dwell_time(sol, region).hex() == dwell.hex()
+        assert _hex(overlap_integrals(sol, mirror, region)) == _hex((psi2, psichi))
+    assert folds > 0 and rescales > 0
