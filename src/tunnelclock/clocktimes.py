@@ -30,7 +30,6 @@ from .potentials import (
     ClockRegion,
     PiecewiseConstantPotential,
     UnitsConfig,
-    reflected,
 )
 
 __all__ = ["PROB_FLOOR", "ClockTimes", "clock_times"]
@@ -68,10 +67,9 @@ def clock_times(
 ) -> ClockTimes:
     """Transmission/reflection clock times and the dwell time over region."""
     psi = scattering.solve(potential, energy, units)
-    mirror = scattering.solve(reflected(potential), energy, units)
     trans_prob = abs(psi.transmission) ** 2
     refl_prob = abs(psi.reflection) ** 2
-    psi2, psichi = scattering.overlap_integrals(psi, mirror, region)
+    psi2, psichi = scattering.overlap_integrals(psi, region)
     # -hbar Im(dA/dV / A) with dA/dV = -(i m / hbar^2 k) * integral.
     inverse_speed = units.mass / (units.hbar * psi.wavenumber)
     t_transmitted = t_reflected = None

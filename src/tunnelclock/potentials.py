@@ -19,7 +19,6 @@ __all__ = [
     "PiecewiseConstantPotential",
     "double_barrier",
     "perturb",
-    "reflected",
 ]
 
 
@@ -153,9 +152,3 @@ def perturb(
     heights = tuple(base + strength if hit else base for base, hit in zip(bases, inside))
     return PiecewiseConstantPotential(cuts, heights)
 
-
-def reflected(potential: PiecewiseConstantPotential) -> PiecewiseConstantPotential:
-    """Spatial mirror image z -> -z of the potential."""
-    bp = tuple(-z for z in reversed(potential.breakpoints))
-    hs = tuple(reversed(potential.heights))
-    return PiecewiseConstantPotential(bp, hs)

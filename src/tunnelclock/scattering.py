@@ -262,12 +262,16 @@ def solve(
     the float range.
     """
     kappas = _kappas(energy, potential.heights, units)
-    bp = potential.breakpoints
+    return _solution(kappas, potential.breakpoints, float(energy), units)
+
+
+def _solution(kappas, bp: tuple[float, ...], energy: float, units: UnitsConfig):
+    """The solution of one backward sweep over the local wavenumbers."""
     k = kappas[0].real
     stored, logscale = _sweep(kappas, bp)
     transmission, reflection = _amplitudes(kappas, bp, stored, logscale)
     return ScatteringSolution(
-        energy=float(energy),
+        energy=energy,
         wavenumber=k,
         transmission=transmission,
         reflection=reflection,
@@ -383,23 +387,23 @@ def _mirrored(rw: RegionWave) -> RegionWave:
 
 
 def overlap_integrals(
-    solution: ScatteringSolution,
-    mirrored: ScatteringSolution,
-    region: ClockRegion,
+    solution: ScatteringSolution, region: ClockRegion
 ) -> tuple[complex, complex]:
     """Integrals of psi^2 and psi*chi over the region (no conjugates).
 
-    psi is the left-incident solution; mirrored must solve the reflected
-    potential at the same energy, so chi(z) = mirrored psi(-z) is the unit
-    wave incident from the right. Region r of psi is region n+1-r of the
-    mirrored solution, so the two expansions pair up one to one. Only the
-    regions that overlap the clock region are built.
+    psi is the left-incident solution and chi(z) = mirror(-z) the unit wave
+    incident from the right, where mirror solves the mirrored potential by
+    one backward sweep over psi's wavenumbers reversed and its breakpoints
+    negated and reversed. Region r of psi is region n+1-r of mirror, so the
+    expansions pair up one to one. Only overlapping regions are built.
     """
-    partner = len(solution.breakpoints)
+    bp = solution.breakpoints
+    mirror_bp = tuple(-z for z in reversed(bp))
+    mirror = _solution(solution.kappas[::-1], mirror_bp, solution.energy, solution.units)
     psi2 = psichi = 0j
-    for r, lo, hi in _overlaps(solution.breakpoints, region):
+    for r, lo, hi in _overlaps(bp, region):
         rw = solution.wave(r)
-        chi = _mirrored(mirrored.wave(partner - r))
+        chi = _mirrored(mirror.wave(len(bp) - r))
         terms = _log_terms(rw)
         psi2 += _product_integral(rw, terms, rw, terms, lo, hi)
         psichi += _product_integral(rw, terms, chi, _log_terms(chi), lo, hi)

@@ -21,7 +21,6 @@ from tunnelclock.potentials import (
     UnitsConfig,
     double_barrier,
     perturb,
-    reflected,
 )
 
 BARRIER = double_barrier(0.018, 10.0, 10.0)
@@ -162,17 +161,27 @@ def test_matches_finite_difference_oracle(potential, region, energy, units):
     assert result.reflected == pytest.approx(r_fd, rel=1e-6)
 
 
-def test_two_solves_per_call(monkeypatch):
-    calls = []
-    original = scattering.solve
+def test_one_solve_and_two_sweeps_per_call(monkeypatch):
+    # chi comes from a second backward sweep over psi's wavenumbers
+    # reversed and its breakpoints negated and reversed, not a second solve
+    solves, sweeps = [], []
+    solve, sweep = scattering.solve, scattering._sweep
 
-    def counting(*args, **kwargs):
-        calls.append(args[0])
-        return original(*args, **kwargs)
+    def counting_solve(*args, **kwargs):
+        solves.append(args[0])
+        return solve(*args, **kwargs)
 
-    monkeypatch.setattr(scattering, "solve", counting)
+    def counting_sweep(kappas, bp):
+        sweeps.append((tuple(kappas), bp))
+        return sweep(kappas, bp)
+
+    monkeypatch.setattr(scattering, "solve", counting_solve)
+    monkeypatch.setattr(scattering, "_sweep", counting_sweep)
     clock_times(ASYM, ClockRegion(2.0, 15.0), 0.009)
-    assert calls == [ASYM, reflected(ASYM)]
+    assert solves == [ASYM]
+    kappas = tuple(scattering._kappas(0.009, ASYM.heights, NATURAL_UNITS))
+    mirror_bp = tuple(-z for z in reversed(ASYM.breakpoints))
+    assert sweeps == [(kappas, ASYM.breakpoints), (kappas[::-1], mirror_bp)]
 
 
 def test_waves_built_only_over_the_clock_region(monkeypatch):
@@ -295,8 +304,7 @@ def test_full_identity_in_deep_shadow():
     # although P_T ~ 1e-46. With both channels kept the identity is exact.
     potential, region, energy = random_stack(4, 200, 400)
     psi = scattering.solve(potential, energy)
-    mirror = scattering.solve(reflected(potential), energy)
-    psi2, psichi = scattering.overlap_integrals(psi, mirror, region)
+    psi2, psichi = scattering.overlap_integrals(psi, region)
     weighted = (
         psi2 * psi.reflection.conjugate() + psichi * psi.transmission.conjugate()
     ).real / psi.wavenumber

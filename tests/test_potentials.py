@@ -12,7 +12,6 @@ from tunnelclock.potentials import (
     UnitsConfig,
     double_barrier,
     perturb,
-    reflected,
 )
 
 
@@ -134,15 +133,6 @@ def test_perturb_pointwise_definition(z1, width, strength, z):
     inside = region.z1 <= z < region.z2
     expected = pot(z) + (strength if inside else 0.0)
     assert shifted(z) == pytest.approx(expected, abs=1e-17)
-
-
-def test_reflected_mirrors_heights():
-    pot = PiecewiseConstantPotential((0.0, 1.0, 4.0), (0.5, 0.2))
-    mir = reflected(pot)
-    assert mir.breakpoints == (-4.0, -1.0, 0.0)
-    assert mir.heights == (0.2, 0.5)
-    for z in (-3.5, -0.5, 0.5):
-        assert mir(z) == pot(-z)
 
 
 def test_free_potential_is_zero_everywhere():

@@ -475,5 +475,5 @@ def test_windowed_integrals_equal_the_full_sum():
         rescales += len(pot.heights) == 240 and sol.logscale[0] > 0 < mirror.logscale[0]
         dwell, psi2, psichi = _full_sums(sol, mirror, region)
         assert dwell_time(sol, region).hex() == dwell.hex()
-        assert _hex(overlap_integrals(sol, mirror, region)) == _hex((psi2, psichi))
+        assert _hex(overlap_integrals(sol, region)) == _hex((psi2, psichi))
     assert folds > 0 and rescales > 0
