@@ -272,6 +272,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         if value is None:
             raise InvalidParameterError(f"--{name} is required when sweeping {args.axis}")
         fixed[name] = value
+    for name, value in [("start", args.start), ("stop", args.stop), *fixed.items()]:
+        if not math.isfinite(value):
+            raise InvalidParameterError(f"--{name} must be finite, got {value}")
+    if not math.isfinite(args.stop - args.start):
+        raise InvalidParameterError(
+            f"the span from --start {args.start} to --stop {args.stop}"
+            " leaves the float range"
+        )
 
     lines = ["# tunnelclock sweep", _units_comment(units)]
     fixed_text = " ".join(f"{k}={_fmt(v)}" for k, v in sorted(fixed.items()))

@@ -22,9 +22,11 @@ is a genuine cross-check between two computations, never circular.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import scattering
+from .errors import InvalidParameterError
 from .potentials import (
     NATURAL_UNITS,
     ClockRegion,
@@ -85,6 +87,11 @@ def clock_times(
     else:
         weighted += inverse_speed * (psi2 * psi.reflection.conjugate()).real
     dwell = scattering.dwell_time(psi, region)
+    if not all(math.isfinite(t) for t in (t_transmitted, t_reflected, dwell) if t is not None):
+        raise InvalidParameterError(
+            f"clock times over ({region.z1}, {region.z2}) leave the float range"
+            f" at E={energy}"
+        )
     # A region in total shadow has zero dwell time; its residual is absolute.
     residual = abs(dwell - weighted) / dwell if dwell else abs(weighted)
     return ClockTimes(

@@ -119,10 +119,16 @@ class ClockRotor:
             raise InvalidParameterError(f"N must be odd and >= 3, got {self.N}")
         if not (math.isfinite(self.tau) and self.tau > 0):
             raise InvalidParameterError(f"tau must be positive, got {self.tau}")
-        # omega = 2*pi/(N*tau) must stay positive to convert angles to times.
+        # omega = 2*pi/(N*tau) must stay positive and finite to convert
+        # angles to times.
         if not math.isfinite(self.N * self.tau):
             raise InvalidParameterError(
                 f"clock period N*tau overflows the float range "
+                f"(N={self.N}, tau={self.tau})"
+            )
+        if not math.isfinite(self.omega):
+            raise InvalidParameterError(
+                f"rotor frequency 2*pi/(N*tau) leaves the float range "
                 f"(N={self.N}, tau={self.tau})"
             )
 

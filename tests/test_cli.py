@@ -710,6 +710,17 @@ FLOAT_RANGE_EDGES = [
     # k*z overflows in the density integral, and in the overlap integrals
     ("times --potential {pot} --E 0.009 --z1 0 --z2 1e300 --hbar 1e-10", 2),
     ("times --potential {pot} --E 0.009 --z1 -1e300 --z2 5 --hbar 1e-10", 2),
+    # clock times that leave the float range used to print inf
+    ("times --potential {pot} --E 0.009 --z1 0 --z2 1.7976931348623157e308", 2),
+    ("clock-sim --N 5 --tau 100000 --halvings 1 --E 0.009 --potential {pot}"
+     " --z1 -1.7976931348623157e308", 2),
+    # grids and rotors that are not finite used to print inf or NA cells
+    ("sweep --axis d --start 1 --stop inf --count 5 --E 0.01 --V0 0.018 --a 10", 2),
+    ("sweep --axis d --start -1.7e308 --stop 1.7e308 --count 5"
+     " --E 0.01 --V0 0.018 --a 10", 2),
+    ("sweep --axis d --start 1 --stop 100 --count 5 --E 0.01 --V0 0.018 --a inf", 2),
+    ("sweep --axis E --start 0.001 --stop 0.02 --count 5 --V0 0.018 --a 10 --d nan", 2),
+    ("clock-sim --N 21 --tau 5e-324 --halvings 1 --E 0.01 --V0 0.018 --a 10 --d 10", 2),
 ]
 
 

@@ -114,6 +114,14 @@ def test_opaque_transmitted_channel_undefined():
     )
 
 
+@pytest.mark.parametrize("z1, z2", [(0.0, 1.7976931348623157e308),
+                                    (-1.7976931348623157e308, 30.0)])
+def test_times_beyond_float_range_rejected(z1, z2):
+    # the free stretch's dwell and transmitted times are infinite
+    with pytest.raises(InvalidParameterError, match="float range"):
+        clock_times(BARRIER, ClockRegion(z1, z2), 0.01)
+
+
 def test_error_hierarchy():
     assert issubclass(DegenerateEnergyError, InvalidParameterError)
 

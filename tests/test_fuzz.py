@@ -3,17 +3,21 @@
 Every float flag of times, sweep, fig1, clock-sim and check takes each of
 the float-range extremes in turn, then seeded pairs of flags take two at
 once. Every run must end with exit code 0, 1 or 2 and leave no Traceback
-on stderr; a raw exception out of main fails the run too.
+on stderr; a raw exception out of main fails the run too. A run that
+exits 0 must print only CSV data cells that are finite numbers or NA,
+and no run may raise a RuntimeWarning.
 """
 
 import contextlib
 import io
+import math
 import random
 import warnings
 
 import pytest
 
 from tunnelclock.cli import build_parser, main
+from tunnelclock.errors import CouplingWarning
 
 EXTREMES = (
     "0", "-0.0", "5e-324", "-5e-324", "2.2250738585072014e-308",
@@ -81,14 +85,32 @@ def cases(pot):
 
 
 def run(argv):
-    """Exit code and stderr of one in-process call."""
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+    """Exit code, stdout and stderr of one in-process call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
         except SystemExit as exc:  # argparse rejects its arguments
             code = exc.code
-    return code, err.getvalue()
+    return code, out.getvalue(), err.getvalue()
+
+
+def wrong_cells(out):
+    """The CSV data cells of an output that are neither a finite number
+    nor NA; check prints a report, not a CSV, and has none."""
+    lines = [line for line in out.splitlines() if line and not line.startswith("#")]
+    if not lines or "," not in lines[0]:
+        return []
+    wrong = []
+    for line in lines[1:]:
+        for cell in line.split(","):
+            try:
+                finite = cell == "NA" or math.isfinite(float(cell))
+            except ValueError:
+                finite = False
+            if not finite:
+                wrong.append(cell)
+    return wrong
 
 
 def test_extremes_and_pairs_end_cleanly(tmp_path):
@@ -96,17 +118,22 @@ def test_extremes_and_pairs_end_cleanly(tmp_path):
     pot.write_text(BARRIER_FILE, encoding="utf-8")
     failures = []
     count = 0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for argv in cases(pot):
-            count += 1
+    for argv in cases(pot):
+        count += 1
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            warnings.simplefilter("ignore", CouplingWarning)
             try:
-                code, err = run(argv)
+                code, out, err = run(argv)
             except Exception as exc:
                 failures.append((" ".join(argv), f"raised {type(exc).__name__}: {exc}"))
                 continue
-            if code not in (0, 1, 2) or "Traceback" in err:
-                failures.append((" ".join(argv), f"exit {code}"))
+        if code not in (0, 1, 2) or "Traceback" in err:
+            failures.append((" ".join(argv), f"exit {code}"))
+        elif code == 0 and wrong_cells(out):
+            failures.append((" ".join(argv), f"printed {sorted(set(wrong_cells(out)))}"))
+        if any(issubclass(w.category, RuntimeWarning) for w in caught):
+            failures.append((" ".join(argv), "RuntimeWarning"))
     assert count > 900
     assert failures == []
 
@@ -117,4 +144,5 @@ def test_every_base_call_succeeds(tmp_path, base):
     pot.write_text(BARRIER_FILE, encoding="utf-8")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        assert run(base.format(pot=pot).split()) == (0, "")
+        code, out, err = run(base.format(pot=pot).split())
+    assert (code, err) == (0, "") and wrong_cells(out) == []

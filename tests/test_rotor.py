@@ -62,6 +62,10 @@ def test_rotor_validation():
     # N * tau overflows, so omega would be zero
     with pytest.raises(InvalidParameterError, match="N\\*tau"):
         ClockRotor(5, sys.float_info.max)
+    # N * tau is subnormal, so omega would be infinite
+    with pytest.raises(InvalidParameterError, match="frequency"):
+        ClockRotor(21, 5e-324)
+    assert ClockRotor(3, 1e-300).omega < math.inf
     assert ROTOR.j == 10
     assert ROTOR.omega == pytest.approx(math.tau / 21.0, rel=1e-15)
     assert list(ROTOR.levels) == list(range(-10, 11))
