@@ -10,9 +10,10 @@ amplitudes change by
     dT/dV = -(i m / hbar^2 k) * integral of psi*chi,
 
 where psi is the state incident from the left and chi the one incident
-from the right (Sokolovski & Baskin, PRA 36, 4604 (1987)). Both integrals
-are exact per-region antiderivatives, so t = -hbar Im(dA/dV / A) needs no
-step size. The dwell time comes from the independent density integral of
+from the right (Sokolovski & Baskin, PRA 36, 4604 (1987)). One solve
+gives psi, and scattering.overlap_integrals builds chi from it. Both
+integrals are exact per-region antiderivatives, so
+t = -hbar Im(dA/dV / A) needs no step size. The dwell time comes from the independent density integral of
 |psi|^2, so the weighted-average identity
 
     t_dwell = |T|^2 t_transmitted + |R|^2 t_reflected
@@ -67,7 +68,11 @@ def clock_times(
     energy: float,
     units: UnitsConfig = NATURAL_UNITS,
 ) -> ClockTimes:
-    """Transmission/reflection clock times and the dwell time over region."""
+    """Transmission/reflection clock times and the dwell time over region.
+
+    Raises InvalidParameterError, as solve does for its inputs, when the
+    dwell time or a reported channel time leaves the float range.
+    """
     psi = scattering.solve(potential, energy, units)
     trans_prob = abs(psi.transmission) ** 2
     refl_prob = abs(psi.reflection) ** 2

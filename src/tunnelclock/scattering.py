@@ -13,7 +13,10 @@ and single barriers whose own growth factor is beyond float range.
 
 A solution keeps the sweep's result, not the waves themselves: region
 r's normalized expansion is built on demand, and the dwell and overlap
-integrals build only the regions that overlap the clock region.
+integrals build only the regions that overlap the clock region. The
+right-incident state chi of the overlap integrals is the mirrored
+potential's solution read at -z; its sweep runs over the solution's own
+wavenumbers reversed, so one solve serves both states.
 
 Conventions: unit amplitude incident from the left, purely outgoing wave
 on the right. Far to the left psi = e^{ikz} + R e^{-ikz}, far to the
