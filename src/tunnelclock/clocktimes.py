@@ -12,9 +12,9 @@ amplitudes change by
 where psi is the state incident from the left and chi the one incident
 from the right (Sokolovski & Baskin, PRA 36, 4604 (1987)). One solve
 gives psi, and scattering.overlap_integrals builds chi from it. Both
-integrals are exact per-region antiderivatives, so
-t = -hbar Im(dA/dV / A) needs no step size. The dwell time comes from the independent density integral of
-|psi|^2, so the weighted-average identity
+integrals are exact per-region antiderivatives, so t = -hbar Im(dA/dV / A)
+needs no step size. The dwell time comes from the independent density
+integral of |psi|^2, so the weighted-average identity
 
     t_dwell = |T|^2 t_transmitted + |R|^2 t_reflected
 
@@ -70,8 +70,8 @@ def clock_times(
 ) -> ClockTimes:
     """Transmission/reflection clock times and the dwell time over region.
 
-    Raises InvalidParameterError, as solve does for its inputs, when the
-    dwell time or a reported channel time leaves the float range.
+    Raises what solve raises, and InvalidParameterError where the dwell
+    time or a reported channel time is not finite.
     """
     psi = scattering.solve(potential, energy, units)
     trans_prob = abs(psi.transmission) ** 2

@@ -151,4 +151,3 @@ def perturb(
     cuts, bases, inside = _clock_cuts(potential, region)
     heights = tuple(base + strength if hit else base for base, hit in zip(bases, inside))
     return PiecewiseConstantPotential(cuts, heights)
-
