@@ -17,10 +17,9 @@ import functools
 import math
 import re
 import sys
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import closedform, scattering
+from . import scattering
 from .checks import decomposition_suite
 from .clocktimes import clock_times
 from .errors import InvalidParameterError, TunnelClockError
@@ -30,7 +29,11 @@ from .potentials import (
     UnitsConfig,
     double_barrier,
 )
-from .rotor import ClockRotor, measurement_series
+
+# closedform, rotor and numpy are imported by the commands that use them,
+# so times --potential and check run without numpy.
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["main", "build_parser", "load_potential_file"]
 
@@ -79,7 +82,11 @@ def _emit(lines: list[str], out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.write(text)
     else:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
+        try:
+            fh = open(out_path, "w", encoding="utf-8", newline="\n")
+        except OSError as exc:
+            raise InvalidParameterError(f"cannot write output: {exc}") from exc
+        with fh:
             fh.write(text)
 
 
@@ -93,6 +100,8 @@ def load_potential_file(path: str) -> PiecewiseConstantPotential:
             raw = fh.readlines()
     except OSError as exc:
         raise InvalidParameterError(f"cannot read potential file: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InvalidParameterError(f"{path}: not UTF-8 text: {exc}") from exc
     for lineno, line in enumerate(raw, start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -143,6 +152,10 @@ def _double_barrier_rows(
     a NaN or an undefined point is formatted value by value instead: NA
     entries, and flag 1 where undefined.
     """
+    import numpy as np
+
+    from . import closedform
+
     E, V0, a, d = lead[-4:]
     g = closedform.grid(V0, a, d, E, units)
     values = [g.t_whole, g.t_between, g.t_barriers, g.t_opaque, g.trans_prob]
@@ -203,6 +216,8 @@ def cmd_times(args: argparse.Namespace) -> int:
         flag = 1 if (ct.transmitted is None or ct.reflected is None) else 0
         lines.append(",".join(_fmt(v) for v in row) + f",{flag}")
     else:
+        from . import closedform
+
         for name in ("E", "V0", "a", "d"):
             if getattr(args, name) is None:
                 raise InvalidParameterError(
@@ -242,6 +257,8 @@ def _sweep_rows(
 ) -> list[str]:
     """One double-barrier CSV row per grid point of the swept axis; an
     out-of-regime point gives a flagged NA row."""
+    import numpy as np
+
     grid = np.linspace(start, stop, count)
     point = dict(fixed)
     rows = []
@@ -323,6 +340,8 @@ def cmd_fig1(args: argparse.Namespace) -> int:
 
 
 def cmd_clock_sim(args: argparse.Namespace) -> int:
+    from .rotor import ClockRotor, measurement_series
+
     units = _parse_units(args)
     if args.potential is not None:
         potential = load_potential_file(args.potential)

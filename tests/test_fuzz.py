@@ -2,10 +2,12 @@
 
 Every float flag of times, sweep, fig1, clock-sim and check takes each of
 the float-range extremes in turn, then seeded pairs of flags take two at
-once. Every run must end with exit code 0, 1 or 2 and leave no Traceback
-on stderr; a raw exception out of main fails the run too. A run that
-exits 0 must print only CSV data cells that are finite numbers or NA,
-and no run may raise a RuntimeWarning.
+once. Apart from that, every call reads potential files that are not
+plain LF-terminated UTF-8 text, and writes --out paths that cannot be
+opened. Every run must end with exit code 0, 1 or 2 and leave no
+Traceback on stderr; a raw exception out of main fails the run too. A
+run that exits 0 must print only CSV data cells that are finite numbers
+or NA, and no run may raise a RuntimeWarning.
 """
 
 import contextlib
@@ -113,6 +115,25 @@ def wrong_cells(out):
     return wrong
 
 
+def failures_of(argv):
+    """What went wrong in one call: an empty list if it ended cleanly."""
+    failures = []
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        warnings.simplefilter("ignore", CouplingWarning)
+        try:
+            code, out, err = run(argv)
+        except Exception as exc:
+            return [(" ".join(argv), f"raised {type(exc).__name__}: {exc}")]
+    if code not in (0, 1, 2) or "Traceback" in err:
+        failures.append((" ".join(argv), f"exit {code}"))
+    elif code == 0 and wrong_cells(out):
+        failures.append((" ".join(argv), f"printed {sorted(set(wrong_cells(out)))}"))
+    if any(issubclass(w.category, RuntimeWarning) for w in caught):
+        failures.append((" ".join(argv), "RuntimeWarning"))
+    return failures
+
+
 def test_extremes_and_pairs_end_cleanly(tmp_path):
     pot = tmp_path / "pot.txt"
     pot.write_text(BARRIER_FILE, encoding="utf-8")
@@ -120,21 +141,45 @@ def test_extremes_and_pairs_end_cleanly(tmp_path):
     count = 0
     for argv in cases(pot):
         count += 1
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            warnings.simplefilter("ignore", CouplingWarning)
-            try:
-                code, out, err = run(argv)
-            except Exception as exc:
-                failures.append((" ".join(argv), f"raised {type(exc).__name__}: {exc}"))
-                continue
-        if code not in (0, 1, 2) or "Traceback" in err:
-            failures.append((" ".join(argv), f"exit {code}"))
-        elif code == 0 and wrong_cells(out):
-            failures.append((" ".join(argv), f"printed {sorted(set(wrong_cells(out)))}"))
-        if any(issubclass(w.category, RuntimeWarning) for w in caught):
-            failures.append((" ".join(argv), "RuntimeWarning"))
+        failures += failures_of(argv)
     assert count > 900
+    assert failures == []
+
+
+# Potential files that are not plain LF-terminated UTF-8 text.
+ODD_FILES = {
+    "invalid-utf8": BARRIER_FILE.encode().replace(b"0.018", b"\xff0.018"),
+    "nul-byte": BARRIER_FILE.encode().replace(b"0.018", b"0.0\x0018"),
+    "utf8-bom": b"\xef\xbb\xbf" + BARRIER_FILE.encode(),
+    "crlf": BARRIER_FILE.replace("\n", "\r\n").encode(),
+}
+
+
+def file_cases(tmp_path):
+    """Every base call with an odd potential file, a directory as the
+    potential file, an --out path in a missing directory and an --out
+    path that is a directory."""
+    paths = []
+    for name, data in ODD_FILES.items():
+        path = tmp_path / f"{name}.txt"
+        path.write_bytes(data)
+        paths.append(path)
+    for base in BASES:
+        if "{pot}" in base:
+            for path in [*paths, tmp_path]:
+                yield base.format(pot=path).split()
+    pot = tmp_path / "pot.txt"
+    pot.write_text(BARRIER_FILE, encoding="utf-8")
+    for base in BASES:
+        argv = base.format(pot=pot).split()
+        yield argv + ["--out", str(tmp_path / "missing" / "out.csv")]
+        yield argv + ["--out", str(tmp_path)]
+
+
+def test_odd_files_and_out_paths_end_cleanly(tmp_path):
+    failures = []
+    for argv in file_cases(tmp_path):
+        failures += failures_of(argv)
     assert failures == []
 
 
