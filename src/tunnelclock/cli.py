@@ -17,12 +17,13 @@ import functools
 import math
 import re
 import sys
+import warnings
 from typing import TYPE_CHECKING
 
 from . import scattering
 from .checks import decomposition_suite
 from .clocktimes import clock_times
-from .errors import InvalidParameterError, TunnelClockError
+from .errors import CouplingWarning, InvalidParameterError, TunnelClockError
 from .potentials import (
     ClockRegion,
     PiecewiseConstantPotential,
@@ -91,12 +92,13 @@ def _emit(lines: list[str], out_path: str | None) -> None:
 
 
 def load_potential_file(path: str) -> PiecewiseConstantPotential:
-    """Parse the alternating breakpoint/height text format."""
+    """Parse the alternating breakpoint/height text format (UTF-8, with or
+    without a byte-order mark)."""
     breakpoints: list[float] = []
     heights: list[float] = []
     expect = "breakpoint"
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             raw = fh.readlines()
     except OSError as exc:
         raise InvalidParameterError(f"cannot read potential file: {exc}") from exc
@@ -339,6 +341,15 @@ def cmd_fig1(args: argparse.Namespace) -> int:
     return 0
 
 
+def _show_warning(show, message, category, *args, **kwargs) -> None:
+    """Print a CouplingWarning as one tunnelclock line, independent of
+    where in the code it was raised; pass any other warning to show."""
+    if issubclass(category, CouplingWarning):
+        print(f"tunnelclock: warning: {message}", file=sys.stderr)
+    else:
+        show(message, category, *args, **kwargs)
+
+
 def cmd_clock_sim(args: argparse.Namespace) -> int:
     from .rotor import ClockRotor, measurement_series
 
@@ -371,9 +382,12 @@ def cmd_clock_sim(args: argparse.Namespace) -> int:
         "omega,tau,t_read,spread,t_perturbative,trans_weight,flag",
     ]
     first = ClockRotor(N=args.N, tau=args.tau)
-    for rotor, result in measurement_series(
-        potential, region, args.E, first, args.halvings, units
-    ):
+    with warnings.catch_warnings():
+        warnings.showwarning = functools.partial(_show_warning, warnings.showwarning)
+        series = measurement_series(
+            potential, region, args.E, first, args.halvings, units
+        )
+    for rotor, result in series:
         if result is None:
             reading, flag = [None, None, reference, None], 1
         else:

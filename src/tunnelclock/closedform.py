@@ -266,10 +266,8 @@ def _scaled_gammas(k, q, a, d, t: _Terms, bad: np.ndarray):
 
 
 def _times(k, q, a, d, units: UnitsConfig, t: _Terms, bad: np.ndarray):
-    """(t_whole, t_between, t_barriers, t_opaque, res_den), res_den being
-    the resonance denominator of the wide-barrier form, NaN near a
-    resonance and where that form would raise; marks bad where a time is
-    not finite or its arithmetic would raise."""
+    """(t_whole, t_between, t_barriers, t_opaque); marks bad where a time
+    is not finite or its arithmetic would raise."""
     m, hbar = units.mass, units.hbar
     alpha, beta = _scaled_alpha_beta(k, k, q, t)
     g1, g2, g3, g4 = _scaled_gammas(k, q, a, d, t, bad)
@@ -285,22 +283,23 @@ def _times(k, q, a, d, units: UnitsConfig, t: _Terms, bad: np.ndarray):
     # time infinite or NaN, so this check covers it.
     for value in (t_whole, t_between, t_barriers, t_opaque):
         bad |= ~np.isfinite(value)
-
-    res_den = (k2 - q2) * t.sin - 2.0 * k * q * t.cos
-    # The wide-barrier form takes sin 2kd, which raises where 2kd is
-    # infinite, and divides by res_den ** 2. Where either fails the form
-    # is NaN, like at a resonance, and the printed times stand. Its other
-    # divisor, k2 + q2, is zero only where t_opaque is already not finite.
-    far = ~(np.abs(res_den) < RESONANCE_DENOMINATOR_CUTOFF * (k2 + q2))
-    usable = far & ~np.isinf(2.0 * k * d) & (res_den * res_den != 0.0)
-    return t_whole, t_between, t_barriers, t_opaque, np.where(usable, res_den, np.nan)
+    return t_whole, t_between, t_barriers, t_opaque
 
 
-def _asymptotic(k, q, d, units: UnitsConfig, t: _Terms, res_den) -> np.ndarray:
-    """The wide-barrier form of t_between from the res_den of _times, NaN
-    where that is; only for sets that _times did not mark bad."""
+def _asymptotic(k, q, d, units: UnitsConfig, t: _Terms) -> np.ndarray:
+    """The wide-barrier form of t_between, NaN near a resonance of its
+    denominator res_den and where it would raise; only for sets that
+    _times did not mark bad."""
     m, hbar = units.mass, units.hbar
     k2, q2 = k * k, q * q
+    res_den = (k2 - q2) * t.sin - 2.0 * k * q * t.cos
+    # The form takes sin 2kd, which raises where 2kd is infinite, and
+    # divides by res_den ** 2. Where either fails the form is NaN, like at
+    # a resonance, and the printed times stand. Its other divisor, k2 + q2,
+    # is zero only where t_opaque is already not finite.
+    far = ~(np.abs(res_den) < RESONANCE_DENOMINATOR_CUTOFF * (k2 + q2))
+    usable = far & ~np.isinf(2.0 * k * d) & (res_den * res_den != 0.0)
+    res_den = np.where(usable, res_den, np.nan)
     numer = (
         2.0 * k * d * (k2 + q2)
         + 4.0 * k * q * t.sin * t.sin
@@ -368,7 +367,7 @@ def grid(V0, a, d, E, units: UnitsConfig = NATURAL_UNITS) -> DoubleBarrierGrid:
         k = np.sqrt(2.0 * m * E) / hbar
         q = np.sqrt(2.0 * m * (V0 - E)) / hbar
         t = _terms(k, q, a, d, bad)
-        t_whole, t_between, t_barriers, t_opaque, _ = _times(k, q, a, d, units, t, bad)
+        t_whole, t_between, t_barriers, t_opaque = _times(k, q, a, d, units, t, bad)
         trans_prob = _square(_cabs(_amplitude(k, k, q, a, d, t, bad), bad), bad)
         proximity = _proximity(k, q, d, bad)
     return DoubleBarrierGrid(
@@ -420,10 +419,10 @@ def times(params: DoubleBarrierParams) -> DoubleBarrierTimes:
     bad = np.zeros(1, bool)
     with np.errstate(all="ignore"):
         t = _terms(k, q, a, d, bad)
-        *values, res_den = _times(k, q, a, d, params.units, t, bad)
+        values = _times(k, q, a, d, params.units, t, bad)
         if bad[0]:
             raise params.float_range_error()
-        values.append(_asymptotic(k, q, d, params.units, t, res_den))
+        values += (_asymptotic(k, q, d, params.units, t),)
     return DoubleBarrierTimes(*(float(v[0]) for v in values))
 
 

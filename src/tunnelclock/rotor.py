@@ -22,25 +22,21 @@ A measurement series reads the clock over halved couplings: each row
 doubles tau. Doubling is exact in floating point, so omega and the shift
 scale hbar*omega of a row are exactly half those of the row before (short
 of subnormal underflow), and level 2m of a row has the shift
-float(2m)*(s/2) == float(m)*s of level m of the row before: every even
-level of a later row was already solved. The series keeps one dict of
-(T, R) keyed by the exact bits of each shift for the whole call, looks
-every level up there first and solves only what is missing, so each row
-equals its own measurement_simulation bit for bit; keying by bits rather
-than by float equality also holds where the shifts underflow to +-0.0.
-
-Before reading any row, a series collects the distinct shifts of every
-row whose coupling is within bound, in reading order. From _LANE_BATCH_MIN
-shifts up it solves them as one batch of float64 lanes: the same checks,
-sweep and amplitudes, with the forward and backward terms stacked in one
-array, rounding like the scalar CPython arithmetic (see _arith), so every
-lane equals the scalar solve bit for bit. A lane whose sweep would
-rescale, fold or raise is solved by the scalar sweep instead, and an
-exception it raises is kept under its shift and raised where that level
-is read. Smaller batches keep the scalar sweep, solved level by level as
-the rows are read. scattering.solve keeps the scalar sweep too: it walks
-one wave across up to hundreds of regions, where a one-lane batch would
-be far slower.
+float(2m)*(s/2) == float(m)*s of level m of the row before. Before reading
+any row, a call builds one table of (T, R) for the distinct shifts of
+every row whose coupling is within bound, keyed by the exact bits of each
+shift, which also keeps +-0.0 apart where the shifts underflow; the rows
+only read it, so each distinct shift is solved once and each row equals
+its own measurement_simulation, the one-row call, bit for bit. From
+_LANE_BATCH_MIN shifts up the table is solved as one batch of float64
+lanes: the same checks, sweep and amplitudes, with the forward and
+backward terms stacked in one array, rounding like the scalar CPython
+arithmetic (see _arith), so every lane equals the scalar solve bit for
+bit. A lane whose sweep would rescale, fold or raise, and every shift of
+a smaller table, runs the scalar sweep. An exception a level raises is
+kept under its shift and raised where that level is read.
+scattering.solve keeps the scalar sweep: it walks one wave across up to
+hundreds of regions, where a one-lane batch would be far slower.
 
 Pointer readings take the exact first trigonometric moment of the angular
 density and the time expectation one FFT of the amplitudes, so neither
@@ -95,7 +91,7 @@ __all__ = [
 COUPLING_WARNING_FRACTION = 0.1
 
 # Calls with at least this many distinct level shifts solve them as one
-# lane batch; fewer go through the scalar sweep one level at a time.
+# lane batch; fewer run the scalar sweep one level at a time.
 # Measured on a 2-vCPU Xeon VM (Python 3.11.7, numpy 2.4.6): a scalar
 # level of a double barrier costs 8.7 us and of a six-region stack
 # 14.6 us; a lane costs 2.2 and 3.9 us plus 0.4 and 0.8 ms per batch, so
@@ -268,10 +264,11 @@ def _level_solver(
     region: ClockRegion,
     energy: float,
     units: UnitsConfig,
-) -> tuple[float, Callable[[float], tuple[complex, complex]], Callable]:
-    """The coupling bound, a function from a level's shift to its (T, R),
-    and a function from a list of shifts to their results as one lane
-    batch (see _lanes).
+) -> tuple[float, Callable[[list[float]], list]]:
+    """The coupling bound and a function from a list of level shifts to
+    the (T, R) of each, or the exception solving it raised. From
+    _LANE_BATCH_MIN shifts up they run as one lane batch (see _lanes),
+    fewer through the scalar sweep one at a time.
 
     The cut list, solve's energy checks, the free k and the wavenumbers of
     the intervals outside the region are computed once. Per level only the
@@ -298,9 +295,19 @@ def _level_solver(
         return scattering._amplitudes(kappas, cuts, stored, logscale)
 
     def levels(strengths: list[float]) -> list:
+        if len(strengths) < _LANE_BATCH_MIN:
+            return [_attempt(level, strength) for strength in strengths]
         return _lanes(kappas, moved, cuts, energy, units, strengths, level)
 
-    return _coupling_bound(bases, inside, energy), level, levels
+    return _coupling_bound(bases, inside, energy), levels
+
+
+def _attempt(level, strength: float):
+    """level's (T, R) for the shift, or the exception it raised."""
+    try:
+        return level(strength)
+    except Exception as error:  # raised again where the level is read
+        return error
 
 
 def _lanes(kappas, moved, cuts, energy, units, strengths, level) -> list:
@@ -388,11 +395,8 @@ def _lanes(kappas, moved, cuts, energy, units, strengths, level) -> list:
     for strength, plain, t_re, t_im, r_re, r_im in zip(strengths, (~bad).tolist(), *columns):
         if plain:
             results.append((complex(t_re, t_im), complex(r_re, r_im)))
-            continue
-        try:
-            results.append(level(strength))
-        except Exception as error:  # raised again where the level is read
-            results.append(error)
+        else:
+            results.append(_attempt(level, strength))
     return results
 
 
@@ -404,32 +408,24 @@ def _shifts(rotor: ClockRotor, units: UnitsConfig) -> tuple[float, list[float]]:
 
 
 def _presolved(rotors: list[ClockRotor], units: UnitsConfig, bound: float, levels) -> dict:
-    """The known dict a call starts with. The distinct shifts of every
-    rotor whose coupling is within bound, keyed by float.hex in first-seen
-    order, go to one lane batch when there are at least _LANE_BATCH_MIN of
-    them; otherwise the dict is empty and _reading solves each level by
-    the scalar sweep."""
+    """The table a call reads: the result levels gives for each distinct
+    shift of every rotor whose coupling is within bound, keyed by float.hex
+    in first-seen order."""
     shifts: dict[str, float] = {}
     for rotor in rotors:
         largest, strengths = _shifts(rotor, units)
         if largest < bound:
             for strength in strengths:
                 shifts.setdefault(strength.hex(), strength)
-    if len(shifts) < _LANE_BATCH_MIN:
-        return {}
     return dict(zip(shifts, levels(list(shifts.values()))))
 
 
 def _reading(
-    rotor: ClockRotor,
-    units: UnitsConfig,
-    bound: float,
-    level: Callable[[float], tuple[complex, complex]],
-    known: dict,
+    rotor: ClockRotor, units: UnitsConfig, bound: float, known: dict
 ) -> MeasurementResult:
-    """One reading. known holds (T, R), or the exception solving raised,
-    keyed by the exact bits of a shift: a level whose shift is there takes
-    its result from it, and every other level is solved once and added.
+    """One reading from the table of _presolved, which holds every level
+    of a rotor within bound. The first level in ascending m whose solve
+    raised raises its exception here.
 
     Only measurement_simulation and measurement_series call this, so the
     coupling warning points at their caller.
@@ -452,10 +448,7 @@ def _reading(
     # float.hex keeps 0.0 and -0.0 apart, which == would equate.
     amplitudes = []
     for strength in strengths:
-        key = strength.hex()
-        if key not in known:
-            known[key] = level(strength)
-        solved = known[key]
+        solved = known[strength.hex()]
         if isinstance(solved, Exception):
             raise solved
         amplitudes.append(solved)
@@ -471,21 +464,12 @@ def _reading(
             "transmitted amplitudes underflowed; the pointer state cannot "
             "be renormalized for reading"
         )
-    t_reading = read_pointer(
-        rotor, ClockState(transmitted / math.sqrt(t_weight))
-    )
+    t_reading = read_pointer(rotor, ClockState(transmitted / math.sqrt(t_weight)))
+    r_reading = None
     if r_weight > _WEIGHT_FLOOR:
-        r_reading = read_pointer(
-            rotor, ClockState(reflected / math.sqrt(r_weight))
-        )
-    else:
-        r_reading = None
-    return MeasurementResult(
-        transmitted=t_reading,
-        reflected=r_reading,
-        transmitted_weight=t_weight,
-        reflected_weight=r_weight,
-    )
+        r_reading = read_pointer(rotor, ClockState(reflected / math.sqrt(r_weight)))
+    return MeasurementResult(transmitted=t_reading, reflected=r_reading,
+                             transmitted_weight=t_weight, reflected_weight=r_weight)
 
 
 def measurement_simulation(
@@ -503,12 +487,11 @@ def measurement_simulation(
     R^(m)/sqrt(N)); both are renormalized before reading. Levels are
     processed in ascending m order, so results are deterministic.
 
-    This is the one-row case of measurement_series, solved level by level
-    by the scalar sweep, except that a coupling too strong for the energy
-    margin raises CouplingTooStrongError.
+    This is the one-row case of measurement_series, except that a coupling
+    too strong for the energy margin raises CouplingTooStrongError.
     """
-    bound, level, _ = _level_solver(potential, region, energy, units)
-    return _reading(rotor, units, bound, level, {})
+    bound, levels = _level_solver(potential, region, energy, units)
+    return _reading(rotor, units, bound, _presolved([rotor], units, bound, levels))
 
 
 def measurement_series(
@@ -527,14 +510,14 @@ def measurement_series(
     margin. Every row equals its own measurement_simulation bit for bit.
 
     Each distinct level shift is solved once per call: before any row is
-    read, the shifts of all rows within the margin go to one lane batch
-    when there are at least _LANE_BATCH_MIN of them; otherwise each level
-    is solved by the scalar sweep as its row is read. Either way a failure
+    read, the shifts of all rows within the margin go into one table,
+    solved as a lane batch when there are at least _LANE_BATCH_MIN of them
+    and by the scalar sweep otherwise. The rows only read it, so a failure
     surfaces at the row and level where a row-by-row loop would raise it.
     """
     if halvings < 0:
         raise InvalidParameterError(f"halvings must be >= 0, got {halvings}")
-    bound, level, levels = _level_solver(potential, region, energy, units)
+    bound, levels = _level_solver(potential, region, energy, units)
     rotors, failure = [rotor], None
     try:
         for _ in range(halvings):
@@ -547,7 +530,7 @@ def measurement_series(
     rows: list[tuple[ClockRotor, MeasurementResult | None]] = []
     for rotor in rotors:
         try:
-            result = _reading(rotor, units, bound, level, known)
+            result = _reading(rotor, units, bound, known)
         except CouplingTooStrongError:
             result = None
         rows.append((rotor, result))

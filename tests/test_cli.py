@@ -11,10 +11,10 @@ import warnings
 import pytest
 
 import tunnelclock
-from tunnelclock import cli
+from tunnelclock import cli, rotor
 from tunnelclock.cli import build_parser, load_potential_file, main
 from tunnelclock.closedform import DoubleBarrierParams, times
-from tunnelclock.errors import InvalidParameterError
+from tunnelclock.errors import CouplingWarning, InvalidParameterError
 from tunnelclock.rotor import ClockRotor
 
 BARRIER_FILE = """\
@@ -228,6 +228,22 @@ def test_potential_file_comments_and_blanks(tmp_path):
     pot = load_potential_file(str(pot_file))
     assert pot.breakpoints == (0.0, 10.0)
     assert pot.heights == (0.018,)
+
+
+def test_potential_file_with_a_byte_order_mark(tmp_path):
+    # the same data row as the file without the mark
+    rows = []
+    for name, mark in (("plain.txt", b""), ("bom.txt", b"\xef\xbb\xbf")):
+        pot_file = tmp_path / name
+        pot_file.write_bytes(mark + BARRIER_FILE.encode())
+        code, text = run_to_file(
+            tmp_path,
+            ["times", "--potential", str(pot_file), "--E", "0.01", "--z1", "0",
+             "--z2", "10"],
+        )
+        assert code == 0
+        rows.append(parse_csv(text))
+    assert rows[0] == rows[1]
 
 
 def test_sweep_two_points(tmp_path):
@@ -859,3 +875,40 @@ def test_module_entry_point(tmp_path):
     )
     assert result.returncode == 0
     assert "t_whole" in result.stdout
+
+
+def test_clock_sim_prints_coupling_warnings_as_tunnelclock_lines():
+    # both rows lie in the warning band; each warning is one stderr line,
+    # whatever line of the code raised it
+    package_root = os.path.dirname(os.path.dirname(tunnelclock.__file__))
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    argv = ("clock-sim --N 21 --tau 1000 --halvings 1"
+            " --E 0.01 --V0 0.018 --a 10 --d 10").split()
+    result = subprocess.run(
+        [sys.executable, "-m", "tunnelclock", *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert result.returncode == 0
+    lines = result.stderr.splitlines()
+    assert len(lines) == 2
+    assert all(line.startswith("tunnelclock: warning: largest level shift ")
+               for line in lines)
+
+
+def test_clock_sim_passes_other_warnings_through(monkeypatch, capsys):
+    series = rotor.measurement_series
+
+    def warning_series(*args):
+        warnings.warn("coupling", CouplingWarning)
+        warnings.warn("other", UserWarning)
+        return series(*args)
+
+    monkeypatch.setattr(rotor, "measurement_series", warning_series)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main("clock-sim --N 5 --tau 1e5 --E 0.01 --V0 0.018 --a 10 --d 10".split())
+    assert code == 0
+    assert capsys.readouterr().err == "tunnelclock: warning: coupling\n"
+    assert [(w.category, str(w.message)) for w in caught] == [(UserWarning, "other")]

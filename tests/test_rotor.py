@@ -317,16 +317,21 @@ def solve_per_level(potential, region, energy, rotor, units):
     return np.array(transmitted), np.array(reflected)
 
 
-@pytest.mark.parametrize(
-    "region",
-    [ClockRegion(0.0, 25.0), ClockRegion(3.0, 17.5), ClockRegion(-4.0, 12.0)],
-)
-def test_levels_match_full_solves_bit_for_bit(region):
+LEVEL_REGIONS = [ClockRegion(0.0, 25.0), ClockRegion(3.0, 17.5), ClockRegion(-4.0, 12.0)]
+
+
+# N = 51 solves its levels by the scalar sweep, N = 101 as one lane batch.
+@pytest.mark.parametrize("region, n", [
+    *(pytest.param(region, 51, id=f"region{i}") for i, region in enumerate(LEVEL_REGIONS)),
+    *(pytest.param(region, 101, id=f"region{i}-lanes")
+      for i, region in enumerate(LEVEL_REGIONS)),
+])
+def test_levels_match_full_solves_bit_for_bit(region, n):
     potential = PiecewiseConstantPotential(
         (0.0, 10.0, 12.5, 20.0, 25.0), (0.018, -0.004, 0.0, 0.012)
     )
     units = UnitsConfig(mass=2.0, hbar=0.5)
-    rotor = ClockRotor(51, 60000.0)
+    rotor = ClockRotor(n, 60000.0)
     result = measurement_simulation(potential, region, 0.009, rotor, units)
     transmitted, reflected = solve_per_level(potential, region, 0.009, rotor, units)
     transmitted /= math.sqrt(rotor.N)

@@ -38,20 +38,19 @@ def _positive(lo, hi):
     return st.floats(min_value=lo, max_value=hi, allow_nan=False, allow_infinity=False)
 
 
-def _outcome(function, *args):
-    """The exact bits of a (T, R) result, or the type and text of the
-    exception raised for it."""
-    try:
-        value = function(*args)
-    except Exception as error:  # compared, not handled
-        value = error
-    return _bits(value)
-
-
 def _bits(value):
+    """The exact bits of a (T, R) result, or the type and text of the
+    exception kept for it."""
     if isinstance(value, Exception):
         return type(value).__name__, str(value)
     return tuple(part.hex() for z in value for part in (z.real, z.imag))
+
+
+def _levels(levels, shifts, lanes_from):
+    """levels(shifts) with batches of at least lanes_from shifts taken as
+    lanes."""
+    with mock.patch.object(rotor, "_LANE_BATCH_MIN", lanes_from):
+        return levels(shifts)
 
 
 @st.composite
@@ -111,14 +110,14 @@ def level_cases(draw):
 def test_lanes_equal_the_scalar_level(case):
     potential, region, energy, units, fractions, specials = case
     try:
-        bound, level, levels = rotor._level_solver(potential, region, energy, units)
+        bound, levels = rotor._level_solver(potential, region, energy, units)
     except TunnelClockError:
         return
     shifts = [fraction * bound for fraction in fractions] + specials
-    got = levels(shifts)
+    got = _levels(levels, shifts, ALL_LANES)
     assert len(got) == len(shifts)
-    for shift, solved in zip(shifts, got):
-        assert _bits(solved) == _outcome(level, shift), shift
+    for shift, solved, scalar in zip(shifts, got, _levels(levels, shifts, NO_LANES)):
+        assert _bits(solved) == _bits(scalar), shift
 
 
 def _series_outcome(lanes_from, *args):
@@ -174,14 +173,14 @@ def test_the_onto_e_series_raises_at_row_one():
 def test_opaque_lanes_fall_back_where_the_sweep_rescales():
     # both 1150-wide barriers together grow the wave past the rescale
     # limit for 362 of row 0's 401 levels; each of those runs the sweep
-    bound, level, levels = rotor._level_solver(
+    _, levels = rotor._level_solver(
         double_barrier(0.018, 1150.0, 10.0), ClockRegion(0.0, 2310.0), 0.01, UnitsConfig())
     first = ClockRotor(401, 4000.0)
     shifts = [float(m) * first.omega for m in first.levels.tolist()]
     with mock.patch.object(scattering, "_sweep", wraps=scattering._sweep) as sweep:
         got = levels(shifts)
     assert sweep.call_count == 362
-    assert [_bits(solved) for solved in got] == [_outcome(level, s) for s in shifts]
+    assert list(map(_bits, got)) == list(map(_bits, _levels(levels, shifts, NO_LANES)))
 
 
 CLOCK_SIM_COMMANDS = [
