@@ -58,13 +58,9 @@ potential file format:
 """
 
 
-def _fmt(value: float | int | None) -> str:
+def _fmt(value: float | None) -> str:
     if value is None:
         return "NA"
-    if isinstance(value, bool):
-        return str(int(value))
-    if isinstance(value, int):
-        return str(value)
     if math.isnan(value):
         return "NA"
     return f"{value:.17g}"
@@ -548,11 +544,16 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except InvalidParameterError as exc:
+    except (InvalidParameterError, CouplingWarning) as exc:
+        # a CouplingWarning arrives here only where the warning filters
+        # turn it into an error
         print(f"tunnelclock: {exc}", file=sys.stderr)
         return 2
     except TunnelClockError as exc:
         print(f"tunnelclock: numerical failure: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"tunnelclock: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

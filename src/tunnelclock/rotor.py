@@ -24,10 +24,9 @@ scale hbar*omega of a row are exactly half those of the row before (short
 of subnormal underflow), and level 2m of a row has the shift
 float(2m)*(s/2) == float(m)*s of level m of the row before. Before reading
 any row, a call builds one table of (T, R) for the distinct shifts of
-every row whose coupling is within bound, keyed by the exact bits of each
-shift, which also keeps +-0.0 apart where the shifts underflow; the rows
-only read it, so each distinct shift is solved once and each row equals
-its own measurement_simulation, the one-row call, bit for bit. From
+every row whose coupling is within bound, keyed by the shift itself; the
+rows only read it, so each distinct shift is solved once and each row
+equals its own measurement_simulation, the one-row call, bit for bit. From
 _LANE_BATCH_MIN shifts up the table is solved as one batch of float64
 lanes: the same checks, sweep and amplitudes, with the forward and
 backward terms stacked in one array, rounding like the scalar CPython
@@ -404,33 +403,30 @@ def _shifts(rotor: ClockRotor, units: UnitsConfig) -> tuple[float, list[float]]:
     """The largest level shift j*hbar*omega and the shift of every level,
     ascending m."""
     scale = units.hbar * rotor.omega
-    return rotor.j * scale, [float(m) * scale for m in rotor.levels.tolist()]
+    return rotor.j * scale, [float(m) * scale for m in range(-rotor.j, rotor.j + 1)]
 
 
-def _presolved(rotors: list[ClockRotor], units: UnitsConfig, bound: float, levels) -> dict:
+def _presolved(rows: list[tuple[float, list[float]]], bound: float, levels) -> dict:
     """The table a call reads: the result levels gives for each distinct
-    shift of every rotor whose coupling is within bound, keyed by float.hex
-    in first-seen order."""
-    shifts: dict[str, float] = {}
-    for rotor in rotors:
-        largest, strengths = _shifts(rotor, units)
-        if largest < bound:
-            for strength in strengths:
-                shifts.setdefault(strength.hex(), strength)
-    return dict(zip(shifts, levels(list(shifts.values()))))
+    shift of every row (largest, shifts) within bound, keyed by the shift
+    in first-seen order. +0.0 and -0.0 share an entry, since a height
+    shifted by either gives every check and wavenumber the same floats."""
+    shifts = list(dict.fromkeys(
+        shift for largest, row in rows if largest < bound for shift in row))
+    return dict(zip(shifts, levels(shifts)))
 
 
 def _reading(
-    rotor: ClockRotor, units: UnitsConfig, bound: float, known: dict
+    rotor: ClockRotor, largest: float, shifts: list[float], bound: float, known: dict
 ) -> MeasurementResult:
-    """One reading from the table of _presolved, which holds every level
-    of a rotor within bound. The first level in ascending m whose solve
-    raised raises its exception here.
+    """One reading of the rotor with the largest level shift and shifts
+    of _shifts, from the table of _presolved, which holds every shift of a
+    row within bound. The first level in ascending m whose solve raised
+    raises its exception here.
 
     Only measurement_simulation and measurement_series call this, so the
     coupling warning points at their caller.
     """
-    largest, strengths = _shifts(rotor, units)
     if largest >= bound:
         raise CouplingTooStrongError(
             f"largest level shift j*hbar*omega = {largest} reaches the "
@@ -445,10 +441,9 @@ def _reading(
             stacklevel=3,
         )
 
-    # float.hex keeps 0.0 and -0.0 apart, which == would equate.
     amplitudes = []
-    for strength in strengths:
-        solved = known[strength.hex()]
+    for shift in shifts:
+        solved = known[shift]
         if isinstance(solved, Exception):
             raise solved
         amplitudes.append(solved)
@@ -491,7 +486,8 @@ def measurement_simulation(
     too strong for the energy margin raises CouplingTooStrongError.
     """
     bound, levels = _level_solver(potential, region, energy, units)
-    return _reading(rotor, units, bound, _presolved([rotor], units, bound, levels))
+    row = _shifts(rotor, units)
+    return _reading(rotor, *row, bound, _presolved([row], bound, levels))
 
 
 def measurement_series(
@@ -526,11 +522,12 @@ def measurement_series(
     except InvalidParameterError as error:
         # Raised after the rows before it are read, as a row-by-row loop would.
         failure = error
-    known = _presolved(rotors, units, bound, levels)
+    shifted = [_shifts(rotor, units) for rotor in rotors]
+    known = _presolved(shifted, bound, levels)
     rows: list[tuple[ClockRotor, MeasurementResult | None]] = []
-    for rotor in rotors:
+    for rotor, row in zip(rotors, shifted):
         try:
-            result = _reading(rotor, units, bound, known)
+            result = _reading(rotor, *row, bound, known)
         except CouplingTooStrongError:
             result = None
         rows.append((rotor, result))

@@ -850,51 +850,71 @@ def test_units_flags_recorded(tmp_path):
     assert "# units: mass=2 hbar=3" in text
 
 
-def test_module_entry_point(tmp_path):
-    # the child imports the same package as this process
+def run_module(*args):
+    """python <args> -m tunnelclock in a child that imports the same
+    package as this process."""
     package_root = os.path.dirname(os.path.dirname(tunnelclock.__file__))
     path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
-    result = subprocess.run(
-        [
-            sys.executable,
-            "-m",
-            "tunnelclock",
-            "times",
-            "--E",
-            "0.01",
-            "--V0",
-            "0.018",
-            "--a",
-            "10",
-            "--d",
-            "10",
-        ],
+    return subprocess.run(
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=path),
+    )
+
+
+def test_module_entry_point():
+    result = run_module(
+        "-m", "tunnelclock", "times", "--E", "0.01", "--V0", "0.018", "--a", "10", "--d", "10"
     )
     assert result.returncode == 0
     assert "t_whole" in result.stdout
 
 
+# both rows of this series lie in the coupling warning band
+WARNING_ARGV = ("clock-sim --N 21 --tau 1000 --halvings 1"
+                " --E 0.01 --V0 0.018 --a 10 --d 10").split()
+
+
 def test_clock_sim_prints_coupling_warnings_as_tunnelclock_lines():
-    # both rows lie in the warning band; each warning is one stderr line,
-    # whatever line of the code raised it
-    package_root = os.path.dirname(os.path.dirname(tunnelclock.__file__))
-    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
-    argv = ("clock-sim --N 21 --tau 1000 --halvings 1"
-            " --E 0.01 --V0 0.018 --a 10 --d 10").split()
-    result = subprocess.run(
-        [sys.executable, "-m", "tunnelclock", *argv],
-        capture_output=True,
-        text=True,
-        env=dict(os.environ, PYTHONPATH=path),
-    )
+    # each warning is one stderr line, whatever line of the code raised it
+    result = run_module("-m", "tunnelclock", *WARNING_ARGV)
     assert result.returncode == 0
     lines = result.stderr.splitlines()
     assert len(lines) == 2
     assert all(line.startswith("tunnelclock: warning: largest level shift ")
                for line in lines)
+
+
+def test_coupling_warnings_turned_into_errors_end_cleanly(capsys):
+    # the first warning, raised as an error, ends the call like
+    # CouplingTooStrongError: one tunnelclock line and exit 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", CouplingWarning)
+        assert main(WARNING_ARGV) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("tunnelclock: largest level shift ")
+    assert captured.err.count("\n") == 1
+    result = run_module("-W", "error", "-m", "tunnelclock", *WARNING_ARGV)
+    assert (result.returncode, result.stdout, result.stderr) == (2, "", captured.err)
+
+
+@pytest.mark.parametrize("command", [
+    "sweep --axis d --start 1 --stop 2 --count 1000000000000 --E 0.01 --V0 0.018 --a 10",
+    "fig1 --panel a --count 1000000000000",
+])
+def test_a_grid_that_cannot_be_allocated_ends_cleanly(monkeypatch, capsys, command):
+    # the grid's allocation fails without asking for the memory
+    import numpy
+
+    def linspace(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+    monkeypatch.setattr(numpy, "linspace", linspace)
+    assert main(command.split()) == 1
+    assert capsys.readouterr().err == (
+        "tunnelclock: out of memory: Unable to allocate 7.28 TiB for an array\n")
 
 
 def test_clock_sim_passes_other_warnings_through(monkeypatch, capsys):

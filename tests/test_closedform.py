@@ -287,6 +287,8 @@ def test_resonance_proximity_values():
     )
     assert _proximity(shifted) == pytest.approx(s, rel=1e-9)
     assert 0.0 < NEAR_RESONANCE_CUTOFF < 1.0
+    with pytest.raises(InvalidParameterError, match="proximity values leave the float range"):
+        near_resonance(DoubleBarrierParams(V0=10.0, a=1.0, d=1e308, E=5.0))
 
 
 def test_transmission_reaches_one_near_asymptotic_resonance():

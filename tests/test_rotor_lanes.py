@@ -29,6 +29,7 @@ ALL_LANES, NO_LANES = 1, sys.maxsize
 # stays inside the 0.25 energy margin.
 BELOW_QUARTER = math.nextafter(0.25, 0.0)
 FLOOR = PiecewiseConstantPotential((0.0, 1.0), (0.25,))
+FAR = PiecewiseConstantPotential((1e308, 1e308 + 4 * math.ulp(1e308)), (1.0,))
 # N = 5 at this tau has omega == BELOW_QUARTER: row 0 is too strong and
 # level m = 2 of row 1 lands on E.
 ONTO_E_TAU = 5.02654824574367
@@ -107,6 +108,8 @@ def level_cases(draw):
 @given(case=level_cases())
 @example(case=(FLOOR, ClockRegion(0.0, 1.0), 0.5, UnitsConfig(), [],
                [BELOW_QUARTER, -BELOW_QUARTER, 0.0]))
+# the phase k*z at the far end of the support leaves the float range
+@example(case=(FAR, ClockRegion(*FAR.support), 2.0, UnitsConfig(), [0.5, -0.5], []))
 def test_lanes_equal_the_scalar_level(case):
     potential, region, energy, units, fractions, specials = case
     try:
