@@ -54,6 +54,21 @@ def _levels(levels, shifts, lanes_from):
         return levels(shifts)
 
 
+def _inside(lo, hi, u1, u2):
+    """The clock region from fraction u1 to fraction u2 > u1 of (lo, hi).
+    Two distinct fractions can round to the same z; the right edge then
+    moves up one float, so the region is never empty."""
+    z1 = lo + u1 * (hi - lo)
+    z2 = max(lo + u2 * (hi - lo), math.nextafter(z1, math.inf))
+    return ClockRegion(z1, z2)
+
+
+def test_inside_regions_are_never_empty():
+    # 0.1 and the next float both give z = 0.30000000000000004 on (0, 3)
+    region = _inside(0.0, 3.0, 0.1, math.nextafter(0.1, 1.0))
+    assert region.z1 == 0.30000000000000004 < region.z2
+
+
 @st.composite
 def stacks(draw):
     """(potential, region, energy, units): stacks of barriers, free gaps
@@ -85,7 +100,7 @@ def stacks(draw):
     else:
         u1, u2 = sorted(draw(st.lists(_positive(0.01, 0.99), min_size=2, max_size=2,
                                       unique=True)))
-        region = ClockRegion(lo + u1 * (hi - lo), lo + u2 * (hi - lo))
+        region = _inside(lo, hi, u1, u2)
     units = draw(st.sampled_from([UnitsConfig(), UnitsConfig(mass=2.0, hbar=0.5)]))
     return potential, region, energy, units
 
