@@ -318,3 +318,16 @@ def test_full_identity_in_deep_shadow():
     ).real / psi.wavenumber
     dwell = scattering.dwell_time(psi, region)
     assert weighted == pytest.approx(dwell, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "a", [60.0, 100.0, 400.0, 1000.0, 1500.0, 1950.0, 2000.0, 2500.0, 2900.0, 3000.0])
+def test_transmitted_time_is_undefined_or_right(a):
+    # T is a normal float up to a = 2900, but psi's growing coefficient in
+    # the exit barrier leaves the normal range first (2.5e-312 at
+    # a = 1900, 0 at a = 2000): t_T taken wherever T != 0 is off by 1.5e-5
+    # at a = 1950 and by 100% from a = 2000
+    result = clock_times(double_barrier(0.018, a, 10.0), ClockRegion(0.0, 2.0 * a + 10.0), 0.01)
+    reference = times(DoubleBarrierParams(V0=0.018, a=a, d=10.0, E=0.01))
+    assert result.transmitted is None or result.transmitted == pytest.approx(
+        reference.t_whole, rel=1e-10)
