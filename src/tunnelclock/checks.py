@@ -76,8 +76,6 @@ def random_scattering_instance(rng: random.Random) -> RandomInstance:
                 heights.append(0.0)
             else:
                 heights.append(rng.uniform(0.004, 0.03))
-        if max(heights) <= 0.0:
-            continue
         origin = rng.uniform(-5.0, 5.0)
         breakpoints = [origin]
         for _ in range(n_regions):
@@ -89,8 +87,6 @@ def random_scattering_instance(rng: random.Random) -> RandomInstance:
         vmax = max(heights)
         energy = rng.uniform(0.25, 0.85) * vmax
         margin = 0.05 * vmax
-        if energy < margin:
-            continue
         if any(abs(energy - h) < margin for h in heights):
             continue
 
