@@ -13,14 +13,15 @@ problems, 1 numerical failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import itertools
 import math
 import re
 import sys
 import warnings
 from typing import TYPE_CHECKING
 
-from . import scattering
 from .checks import decomposition_suite
 from .clocktimes import clock_times
 from .errors import CouplingWarning, InvalidParameterError, TunnelClockError
@@ -34,6 +35,8 @@ from .potentials import (
 # closedform, rotor and numpy are imported by the commands that use them,
 # so times --potential and check run without numpy.
 if TYPE_CHECKING:
+    from collections.abc import Iterable, Iterator
+
     import numpy as np
 
 __all__ = ["main", "build_parser", "load_potential_file"]
@@ -59,32 +62,44 @@ potential file format:
 
 
 def _fmt(value: float | None) -> str:
-    if value is None:
-        return "NA"
-    if math.isnan(value):
+    if value is None or math.isnan(value):
         return "NA"
     return f"{value:.17g}"
 
 
-def _units_comment(units: UnitsConfig) -> str:
-    return (
+def _row(values: list[float | None], flag: bool = False) -> str:
+    """One CSV data row: each value through _fmt, then the flag column,
+    which reads 1 where flag is set or any cell prints NA."""
+    cells = [_fmt(v) for v in values]
+    return ",".join(cells) + (",1" if flag or "NA" in cells else ",0")
+
+
+def _head(command: str, units: UnitsConfig, params: str, header: str) -> list[str]:
+    """The comment lines and the header line that open a command's CSV."""
+    return [
+        f"# tunnelclock {command}",
         f"# units: mass={_fmt(units.mass)} hbar={_fmt(units.hbar)}"
         " (defaults are natural units, where distances and times are"
-        " expressed in units of 1/mass)"
-    )
+        " expressed in units of 1/mass)",
+        f"# {params}",
+        header,
+    ]
 
 
-def _emit(lines: list[str], out_path: str | None) -> None:
-    text = "\n".join(lines) + "\n"
+def _emit(blocks: Iterable[list[str]], out_path: str | None) -> None:
+    """Write each block of lines as soon as it is made, to stdout or to
+    out_path. Callers compute what can fail first, so a failed call
+    writes nothing; a sweep's row blocks, made while writing, cannot fail."""
     if out_path is None:
-        sys.stdout.write(text)
+        fh = contextlib.nullcontext(sys.stdout)
     else:
         try:
             fh = open(out_path, "w", encoding="utf-8", newline="\n")
         except OSError as exc:
             raise InvalidParameterError(f"cannot write output: {exc}") from exc
-        with fh:
-            fh.write(text)
+    with fh as stream:
+        for block in blocks:
+            stream.write("\n".join(block) + "\n")
 
 
 def load_potential_file(path: str) -> PiecewiseConstantPotential:
@@ -147,8 +162,8 @@ def _double_barrier_rows(
     grid array, which may appear more than once. The grid goes through
     closedform.grid in one pass, and each row through one % template with
     the floats already in it and the grid value formatted once. A row with
-    a NaN or an undefined point is formatted value by value instead: NA
-    entries, and flag 1 where undefined.
+    a NaN or an undefined point goes through _row instead, which prints
+    NA and flags it.
     """
     import numpy as np
 
@@ -175,17 +190,12 @@ def _double_barrier_rows(
         ok = bool(g.ok[i])
         row = [float(c[i]) if is_grid else c for c, is_grid in zip(lead, on_grid)]
         row += [float(v[i]) if ok else None for v in values]
-        rows[i] = ",".join(map(_fmt, row)) + f",{int(flags[i]) if ok else 1}"
+        rows[i] = _row(row, flags[i])
     return rows, g.ok
 
 
-def _parse_units(args: argparse.Namespace) -> UnitsConfig:
-    return UnitsConfig(mass=args.mass, hbar=args.hbar)
-
-
 def cmd_times(args: argparse.Namespace) -> int:
-    units = _parse_units(args)
-    lines = ["# tunnelclock times", _units_comment(units)]
+    units = UnitsConfig(mass=args.mass, hbar=args.hbar)
     if args.potential is not None:
         if args.z1 is None or args.z2 is None or args.E is None:
             raise InvalidParameterError(
@@ -193,26 +203,15 @@ def cmd_times(args: argparse.Namespace) -> int:
             )
         potential = load_potential_file(args.potential)
         region = ClockRegion(args.z1, args.z2)
-        lines.append(
-            f"# potential={args.potential} E={_fmt(args.E)}"
-            f" z1={_fmt(args.z1)} z2={_fmt(args.z2)}"
-        )
-        lines.append(
-            "E,z1,z2,t_transmitted,t_reflected,t_dwell,trans_prob,refl_prob,flag"
-        )
         ct = clock_times(potential, region, args.E, units)
-        row = [
-            args.E,
-            args.z1,
-            args.z2,
-            ct.transmitted,
-            ct.reflected,
-            ct.dwell,
-            ct.transmission_prob,
-            ct.reflection_prob,
-        ]
-        flag = 1 if (ct.transmitted is None or ct.reflected is None) else 0
-        lines.append(",".join(_fmt(v) for v in row) + f",{flag}")
+        lines = _head(
+            "times", units,
+            f"potential={args.potential} E={_fmt(args.E)}"
+            f" z1={_fmt(args.z1)} z2={_fmt(args.z2)}",
+            "E,z1,z2,t_transmitted,t_reflected,t_dwell,trans_prob,refl_prob,flag",
+        )
+        lines.append(_row([args.E, args.z1, args.z2, ct.transmitted, ct.reflected,
+                           ct.dwell, ct.transmission_prob, ct.reflection_prob]))
     else:
         from . import closedform
 
@@ -224,51 +223,50 @@ def cmd_times(args: argparse.Namespace) -> int:
         params = closedform.DoubleBarrierParams(
             V0=args.V0, a=args.a, d=args.d, E=args.E, units=units
         )
-        lines.append(
-            f"# E={_fmt(args.E)} V0={_fmt(args.V0)} a={_fmt(args.a)} d={_fmt(args.d)}"
-        )
-        lines.append("E,V0,a,d," + DB_COLUMNS)
         rows, ok = _double_barrier_rows([args.E, args.V0, args.a, args.d], units)
         if not ok[0]:
             raise params.float_range_error()
-        lines.extend(rows)
-    _emit(lines, args.out)
+        lines = _head(
+            "times", units,
+            f"E={_fmt(args.E)} V0={_fmt(args.V0)} a={_fmt(args.a)} d={_fmt(args.d)}",
+            "E,V0,a,d," + DB_COLUMNS,
+        ) + rows
+    _emit([lines], args.out)
     return 0
 
 
 _AXES = ("d", "a", "E", "V0")
 
-# Grid points per array pass of a sweep. A pass holds some 60 arrays of
-# this length and the row lists at once, so blocks bound its memory;
-# every point is computed on its own, so any block size gives the same
-# rows.
+# Grid points per array pass of a sweep, and rows per written block. A
+# pass holds some 60 arrays of this length and the block's rows at once,
+# so blocks bound its memory; every point is computed on its own, so any
+# block size gives the same rows.
 SWEEP_BLOCK_ROWS = 1024
 
 
-def _sweep_rows(
-    axis: str,
-    start: float,
-    stop: float,
-    count: int,
-    fixed: dict[str, float],
-    units: UnitsConfig,
-) -> list[str]:
-    """One double-barrier CSV row per grid point of the swept axis; an
-    out-of-regime point gives a flagged NA row."""
+def _sweep_rows(axis: str, start: float, stop: float, count: int,
+                fixed: dict[str, float], units: UnitsConfig) -> Iterator[list[str]]:
+    """Blocks of double-barrier CSV rows, one row per grid point of the
+    swept axis; an out-of-regime point gives a flagged NA row.
+
+    The grid is allocated here, so a grid too large for memory fails
+    before anything is written; each block is made only when asked for.
+    """
     import numpy as np
 
     grid = np.linspace(start, stop, count)
-    point = dict(fixed)
-    rows = []
-    for lo in range(0, count, SWEEP_BLOCK_ROWS):
-        point[axis] = grid[lo:lo + SWEEP_BLOCK_ROWS]
-        lead = [point[axis]] + [point[name] for name in ("E", "V0", "a", "d")]
-        rows += _double_barrier_rows(lead, units)[0]
-    return rows
+    parts = (grid[lo:lo + SWEEP_BLOCK_ROWS] for lo in range(0, count, SWEEP_BLOCK_ROWS))
+    return (
+        _double_barrier_rows(
+            [part] + [part if name == axis else fixed[name] for name in ("E", "V0", "a", "d")],
+            units,
+        )[0]
+        for part in parts
+    )
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    units = _parse_units(args)
+    units = UnitsConfig(mass=args.mass, hbar=args.hbar)
     if not args.start < args.stop:
         raise InvalidParameterError(
             f"--start must be below --stop, got {args.start} and {args.stop}"
@@ -296,17 +294,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             " leaves the float range"
         )
 
-    lines = ["# tunnelclock sweep", _units_comment(units)]
+    rows = _sweep_rows(args.axis, args.start, args.stop, args.count, fixed, units)
     fixed_text = " ".join(f"{k}={_fmt(v)}" for k, v in sorted(fixed.items()))
-    lines.append(
-        f"# axis={args.axis} start={_fmt(args.start)} stop={_fmt(args.stop)}"
-        f" count={args.count} {fixed_text}"
+    head = _head(
+        "sweep", units,
+        f"axis={args.axis} start={_fmt(args.start)} stop={_fmt(args.stop)}"
+        f" count={args.count} {fixed_text}",
+        "swept,E,V0,a,d," + DB_COLUMNS,
     )
-    lines.append("swept,E,V0,a,d," + DB_COLUMNS)
-    lines.extend(
-        _sweep_rows(args.axis, args.start, args.stop, args.count, fixed, units)
-    )
-    _emit(lines, args.out)
+    _emit(itertools.chain([head], rows), args.out)
     return 0
 
 
@@ -318,22 +314,19 @@ FIG1_BARRIER_WIDTH = {"a": 10.0, "b": 30.0}
 
 
 def cmd_fig1(args: argparse.Namespace) -> int:
-    units = _parse_units(args)
+    units = UnitsConfig(mass=args.mass, hbar=args.hbar)
     if args.count < 2:
         raise InvalidParameterError(f"--count must be >= 2, got {args.count}")
     a = FIG1_BARRIER_WIDTH[args.panel]
-    lines = [
-        "# tunnelclock fig1",
-        _units_comment(units),
-        f"# panel={args.panel} E={_fmt(FIG1_E)} V0={_fmt(FIG1_V0)} a={_fmt(a)}"
+    fixed = {"E": FIG1_E, "V0": FIG1_V0, "a": a}
+    rows = _sweep_rows("d", FIG1_D_START, FIG1_D_STOP, args.count, fixed, units)
+    head = _head(
+        "fig1", units,
+        f"panel={args.panel} E={_fmt(FIG1_E)} V0={_fmt(FIG1_V0)} a={_fmt(a)}"
         f" d={_fmt(FIG1_D_START)}..{_fmt(FIG1_D_STOP)} count={args.count}",
         "swept,E,V0,a,d," + DB_COLUMNS,
-    ]
-    fixed = {"E": FIG1_E, "V0": FIG1_V0, "a": a}
-    lines.extend(
-        _sweep_rows("d", FIG1_D_START, FIG1_D_STOP, args.count, fixed, units)
     )
-    _emit(lines, args.out)
+    _emit(itertools.chain([head], rows), args.out)
     return 0
 
 
@@ -349,7 +342,7 @@ def _show_warning(show, message, category, *args, **kwargs) -> None:
 def cmd_clock_sim(args: argparse.Namespace) -> int:
     from .rotor import ClockRotor, measurement_series
 
-    units = _parse_units(args)
+    units = UnitsConfig(mass=args.mass, hbar=args.hbar)
     if args.potential is not None:
         potential = load_potential_file(args.potential)
         source = f"potential={args.potential}"
@@ -370,38 +363,31 @@ def cmd_clock_sim(args: argparse.Namespace) -> int:
 
     reference = clock_times(potential, region, args.E, units).transmitted
 
-    lines = [
-        "# tunnelclock clock-sim",
-        _units_comment(units),
-        f"# {source} E={_fmt(args.E)} z1={_fmt(z1)} z2={_fmt(z2)}"
-        f" N={args.N} tau={_fmt(args.tau)} halvings={args.halvings}",
-        "omega,tau,t_read,spread,t_perturbative,trans_weight,flag",
-    ]
     first = ClockRotor(N=args.N, tau=args.tau)
     with warnings.catch_warnings():
         warnings.showwarning = functools.partial(_show_warning, warnings.showwarning)
         series = measurement_series(
             potential, region, args.E, first, args.halvings, units
         )
+    lines = _head(
+        "clock-sim", units,
+        f"{source} E={_fmt(args.E)} z1={_fmt(z1)} z2={_fmt(z2)}"
+        f" N={args.N} tau={_fmt(args.tau)} halvings={args.halvings}",
+        "omega,tau,t_read,spread,t_perturbative,trans_weight,flag",
+    )
     for rotor, result in series:
         if result is None:
-            reading, flag = [None, None, reference, None], 1
+            reading = [None, None, reference, None]
         else:
-            reading = [
-                result.transmitted.t_read,
-                result.transmitted.spread,
-                reference,
-                result.transmitted_weight,
-            ]
-            flag = 0
-        row = [rotor.omega, rotor.tau, *reading]
-        lines.append(",".join(_fmt(v) for v in row) + f",{flag}")
-    _emit(lines, args.out)
+            t = result.transmitted
+            reading = [t.t_read, t.spread, reference, result.transmitted_weight]
+        lines.append(_row([rotor.omega, rotor.tau, *reading]))
+    _emit([lines], args.out)
     return 0
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    units = _parse_units(args)
+    units = UnitsConfig(mass=args.mass, hbar=args.hbar)
     suite = decomposition_suite(count=args.count, seed=args.seed, units=units)
     lines = [
         f"# tunnelclock check: count={args.count} seed={args.seed}"
@@ -411,7 +397,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     ]
     passed = suite.max_residual <= RESIDUAL_TOLERANCE
     lines.append("PASS" if passed else "FAIL")
-    _emit(lines, args.out)
+    _emit([lines], args.out)
     return 0 if passed else 1
 
 

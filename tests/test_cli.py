@@ -1,6 +1,8 @@
 """CLI behavior: CSV shape, determinism, NA/flag conventions, exit codes."""
 
+import contextlib
 import hashlib
+import io
 import math
 import os
 import random
@@ -105,6 +107,14 @@ def test_times_rerun_byte_identical(tmp_path):
 def test_times_missing_argument_exit_2(capsys):
     assert main(["times", "--E", "0.01", "--V0", "0.018", "--a", "10"]) == 2
     assert "--d" in capsys.readouterr().err
+    # clock-sim's double-barrier mode, without --V0 and without --E
+    for command, message in [
+        ("clock-sim --N 21 --tau 25000 --E 0.01 --a 10 --d 10",
+         "double-barrier mode needs --V0 (or use --potential)"),
+        ("clock-sim --N 21 --tau 25000 --V0 0.018 --a 10 --d 10", "--E is required"),
+    ]:
+        assert main(command.split()) == 2
+        assert capsys.readouterr() == ("", f"tunnelclock: {message}\n")
 
 
 def test_times_out_of_regime_exit_2(capsys):
@@ -368,8 +378,9 @@ GOLDEN_SHA256 = [
     # 0's 401 levels rescale
     ("clock-sim --N 401 --tau 4000 --halvings 3 --E 0.01 --V0 0.018 --a 10 --d 10",
      "70e294fa360da429ee26615a4a47c334a738a55cbc261fdc7f073ffec53f489d"),
+    # t_perturbative is NA, so every row is flagged
     ("clock-sim --N 401 --tau 4000 --halvings 3 --E 0.01 --V0 0.018 --a 1150 --d 10",
-     "08ddb95fb3d41d49a24122b696b411d14714494636334981497fd4906ae93946"),
+     "524a10094909f9339485b5ee57985a68544f24ef8eab421ae532262eb759ade4"),
     # recorded with chi from a second solve of the mirrored potential:
     # q * width = 1000, so the sweeps of psi and chi both fold, and the
     # clock region straddles the barrier
@@ -400,6 +411,25 @@ def test_sweep_blocks_leave_the_rows_unchanged(tmp_path, monkeypatch):
     whole = run_to_file(tmp_path, argv)
     monkeypatch.setattr(cli, "SWEEP_BLOCK_ROWS", 4)
     assert run_to_file(tmp_path, argv) == whole
+
+
+def test_sweep_writes_each_block_before_it_builds_the_next(monkeypatch):
+    argv = "sweep --axis d --start 1 --stop 100 --count 10 --E 0.01 --V0 0.018 --a 10".split()
+    monkeypatch.setattr(cli, "SWEEP_BLOCK_ROWS", 4)
+    out = io.StringIO()
+    written = []
+    build = cli._double_barrier_rows
+
+    def recording(*args):
+        written.append(out.getvalue().count("\n"))
+        return build(*args)
+
+    monkeypatch.setattr(cli, "_double_barrier_rows", recording)
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    # four head lines, then blocks of 4, 4 and 2 rows
+    assert written == [4, 8, 12]
+    assert out.getvalue().count("\n") == 14
 
 
 def test_golden_clock_sim_potential_file(tmp_path, monkeypatch):
@@ -595,6 +625,20 @@ def test_clock_sim_rows_and_na(tmp_path):
     assert as_float(rows[2][0]) == pytest.approx(
         math.tau / (21 * 1200.0), rel=1e-15
     )
+
+
+def test_clock_sim_rows_without_a_perturbative_time_are_flagged(tmp_path):
+    # |T|^2 underflows at a = 1150, so t_perturbative is NA on every row
+    code, text = run_to_file(
+        tmp_path,
+        "clock-sim --N 21 --tau 4000 --halvings 1 --E 0.01 --V0 0.018 --a 1150 --d 10".split(),
+    )
+    assert code == 0
+    _, rows = parse_csv(text)
+    assert len(rows) == 2
+    for row in rows:
+        assert row[4] == "NA" and row[-1] == "1"
+        assert as_float(row[2]) > 0
 
 
 def test_clock_sim_potential_file_region_defaults(tmp_path):

@@ -7,7 +7,8 @@ plain LF-terminated UTF-8 text, and writes --out paths that cannot be
 opened. Every run must end with exit code 0, 1 or 2 and leave no
 Traceback on stderr; a raw exception out of main fails the run too. A
 run that exits 0 must print only CSV data cells that are finite numbers
-or NA, and no run may raise a RuntimeWarning.
+or NA, with flag 1 on every row that has an NA, and no run may raise a
+RuntimeWarning.
 """
 
 import contextlib
@@ -99,19 +100,23 @@ def run(argv):
 
 def wrong_cells(out):
     """The CSV data cells of an output that are neither a finite number
-    nor NA; check prints a report, not a CSV, and has none."""
+    nor NA, and the flag cell of each row that has an NA cell but a flag
+    other than 1; check prints a report, not a CSV, and has none."""
     lines = [line for line in out.splitlines() if line and not line.startswith("#")]
     if not lines or "," not in lines[0]:
         return []
     wrong = []
     for line in lines[1:]:
-        for cell in line.split(","):
+        cells = line.split(",")
+        for cell in cells:
             try:
                 finite = cell == "NA" or math.isfinite(float(cell))
             except ValueError:
                 finite = False
             if not finite:
                 wrong.append(cell)
+        if "NA" in cells and cells[-1] != "1":
+            wrong.append(f"NA row flagged {cells[-1]}")
     return wrong
 
 
