@@ -2,27 +2,26 @@
 """Emit the bundled double-barrier spacing sweeps (both panels) as CSV.
 
 Writes panel_a.csv (barrier width 10) and panel_b.csv (width 30) plus a
-small comparison summary to stdout: where the between-gap time saturates,
-where the resonance peaks sit, and how the two widths compare off-peak.
+small comparison summary to stdout, read back from the rows just written:
+where the between-gap time saturates, where the resonance peaks sit, and
+how the two widths compare off-peak.
 """
 
 import argparse
+import csv
 import os
 import sys
 
-import numpy as np
-
-from tunnelclock.cli import main as cli_main
-from tunnelclock.closedform import NEAR_RESONANCE_CUTOFF, grid
+from tunnelclock.cli import FIG1_BARRIER_WIDTH, main as cli_main
 
 
-def summarize(panel, a, ds):
-    g = grid(0.018, a, np.array(ds), 0.01)
-    near = g.proximity < NEAR_RESONANCE_CUTOFF
-    peaks = [d for d, flag in zip(ds, near) if flag]
-    plateau = [(d, float(t)) for d, t, flag in zip(ds, g.t_between, near) if not flag]
-    lo = min(plateau, key=lambda p: p[0])
-    hi = max(plateau, key=lambda p: p[0])
+def summarize(panel, a, path):
+    with open(path, encoding="utf-8") as fh:
+        rows = list(csv.DictReader(line for line in fh if not line.startswith("#")))
+    peaks = [row for row in rows if row["flag"] == "1"]
+    plateau = [(float(row["d"]), float(row["t_between"])) for row in rows
+               if row["flag"] == "0"]
+    lo, hi = min(plateau), max(plateau)
     print(f"panel {panel} (a={a:g}): {len(peaks)} flagged peak points")
     print(f"  t_between {lo[1]:.6g} at d={lo[0]:.4g}  ->  {hi[1]:.6g} at d={hi[0]:.4g}")
 
@@ -34,8 +33,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     os.makedirs(args.out_dir, exist_ok=True)
-    ds = [1.0 + i * 99.0 / (args.count - 1) for i in range(args.count)]
-    for panel, a in (("a", 10.0), ("b", 30.0)):
+    for panel, a in FIG1_BARRIER_WIDTH.items():
         path = os.path.join(args.out_dir, f"panel_{panel}.csv")
         code = cli_main(
             ["fig1", "--panel", panel, "--count", str(args.count), "--out", path]
@@ -43,7 +41,7 @@ def main(argv=None):
         if code != 0:
             return code
         print(f"wrote {path}")
-        summarize(panel, a, ds)
+        summarize(panel, a, path)
     return 0
 
 

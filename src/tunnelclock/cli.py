@@ -67,11 +67,30 @@ def _fmt(value: float | None) -> str:
     return f"{value:.17g}"
 
 
-def _row(values: list[float | None], flag: bool = False) -> str:
-    """One CSV data row: each value through _fmt, then the flag column,
-    which reads 1 where flag is set or any cell prints NA."""
-    cells = [_fmt(v) for v in values]
-    return ",".join(cells) + (",1" if flag or "NA" in cells else ",0")
+def _rows(columns: list, near: list[bool] | None = None) -> list[str]:
+    """CSV data rows, one per element of the list columns.
+
+    A list column holds one float per row, NaN where the value is
+    undefined; any other column is the one float or None that every row
+    shares. Cells carry 17 significant digits, or NA for NaN or None; the
+    flag column reads 1 where near is set or the row has an NA cell. Each
+    row fills one % template that holds the shared cells already; a list
+    that appears more than once is formatted once, before the rows.
+    """
+    count = max((len(c) for c in columns if isinstance(c, list)), default=1)
+    repeated = {}
+    for c in columns:
+        if isinstance(c, list) and id(c) not in repeated and sum(d is c for d in columns) > 1:
+            repeated[id(c)] = list(map("%.17g".__mod__, c))
+    template = ",".join("%s" if id(c) in repeated else "%.17g" if isinstance(c, list)
+                        else _fmt(c) for c in columns) + ",%d"
+    lists = [repeated.get(id(c), c) for c in columns if isinstance(c, list)]
+    rows = list(map(template.__mod__, zip(*lists, near or [False] * count)))
+    if "NA" in template or "nan" in "".join(rows):
+        # Only a NaN value formats as nan.
+        rows = [row[:-1] + "1" if "NA" in row else row
+                for row in (row.replace("nan", "NA") for row in rows)]
+    return rows
 
 
 def _head(command: str, units: UnitsConfig, params: str, header: str) -> list[str]:
@@ -142,10 +161,9 @@ def load_potential_file(path: str) -> PiecewiseConstantPotential:
         else:
             heights.append(value)
             expect = "breakpoint"
-    if expect == "breakpoint" and breakpoints:
-        raise InvalidParameterError(
-            f"{path}: file must end with a breakpoint line"
-        )
+    if expect == "breakpoint":
+        need = "end with a breakpoint line" if breakpoints else "hold a breakpoint line"
+        raise InvalidParameterError(f"{path}: file must {need}")
     return PiecewiseConstantPotential(tuple(breakpoints), tuple(heights))
 
 
@@ -153,45 +171,23 @@ DB_COLUMNS = "t_whole,t_between,t_barriers,t_opaque,trans_prob,flag"
 
 
 def _double_barrier_rows(
-    lead: list[float | np.ndarray], units: UnitsConfig
+    lead: list[float | list[float]], units: UnitsConfig
 ) -> tuple[list[str], np.ndarray]:
     """CSV rows of the closed forms over a grid, and where they are defined.
 
     lead holds the columns printed before the closed forms; its last four
     are E, V0, a and d. Each is a float, the same on every row, or the one
-    grid array, which may appear more than once. The grid goes through
-    closedform.grid in one pass, and each row through one % template with
-    the floats already in it and the grid value formatted once. A row with
-    a NaN or an undefined point goes through _row instead, which prints
-    NA and flags it.
+    grid list, which may appear more than once. The grid goes through
+    closedform.grid in one pass, which gives NaN, printed NA, wherever a
+    value is undefined.
     """
-    import numpy as np
-
     from . import closedform
 
     E, V0, a, d = lead[-4:]
     g = closedform.grid(V0, a, d, E, units)
     values = [g.t_whole, g.t_between, g.t_barriers, g.t_opaque, g.trans_prob]
-    flags = g.proximity < closedform.NEAR_RESONANCE_CUTOFF
-    on_grid = [isinstance(c, np.ndarray) for c in lead]
-    template = ",".join(
-        ["%s" if is_grid else _fmt(c) for c, is_grid in zip(lead, on_grid)]
-        + ["%.17g"] * len(values)
-    ) + ",%d"
-    slow = ~g.ok | np.isnan(g.trans_prob)
-    grid_text = []
-    if any(on_grid):
-        grid = lead[on_grid.index(True)]
-        grid_text = list(map("%.17g".__mod__, grid.tolist()))
-        slow |= np.isnan(grid)
-    columns = [grid_text] * sum(on_grid) + [v.tolist() for v in values] + [flags.tolist()]
-    rows = [template % row for row in zip(*columns)]
-    for i in np.flatnonzero(slow):
-        ok = bool(g.ok[i])
-        row = [float(c[i]) if is_grid else c for c, is_grid in zip(lead, on_grid)]
-        row += [float(v[i]) if ok else None for v in values]
-        rows[i] = _row(row, flags[i])
-    return rows, g.ok
+    near = (g.proximity < closedform.NEAR_RESONANCE_CUTOFF).tolist()
+    return _rows([*lead, *(v.tolist() for v in values)], near), g.ok
 
 
 def cmd_times(args: argparse.Namespace) -> int:
@@ -210,8 +206,8 @@ def cmd_times(args: argparse.Namespace) -> int:
             f" z1={_fmt(args.z1)} z2={_fmt(args.z2)}",
             "E,z1,z2,t_transmitted,t_reflected,t_dwell,trans_prob,refl_prob,flag",
         )
-        lines.append(_row([args.E, args.z1, args.z2, ct.transmitted, ct.reflected,
-                           ct.dwell, ct.transmission_prob, ct.reflection_prob]))
+        lines += _rows([args.E, args.z1, args.z2, ct.transmitted, ct.reflected,
+                        ct.dwell, ct.transmission_prob, ct.reflection_prob])
     else:
         from . import closedform
 
@@ -255,7 +251,7 @@ def _sweep_rows(axis: str, start: float, stop: float, count: int,
     import numpy as np
 
     grid = np.linspace(start, stop, count)
-    parts = (grid[lo:lo + SWEEP_BLOCK_ROWS] for lo in range(0, count, SWEEP_BLOCK_ROWS))
+    parts = (grid[lo:lo + SWEEP_BLOCK_ROWS].tolist() for lo in range(0, count, SWEEP_BLOCK_ROWS))
     return (
         _double_barrier_rows(
             [part] + [part if name == axis else fixed[name] for name in ("E", "V0", "a", "d")],
@@ -375,13 +371,14 @@ def cmd_clock_sim(args: argparse.Namespace) -> int:
         f" N={args.N} tau={_fmt(args.tau)} halvings={args.halvings}",
         "omega,tau,t_read,spread,t_perturbative,trans_weight,flag",
     )
-    for rotor, result in series:
-        if result is None:
-            reading = [None, None, reference, None]
-        else:
-            t = result.transmitted
-            reading = [t.t_read, t.spread, reference, result.transmitted_weight]
-        lines.append(_row([rotor.omega, rotor.tau, *reading]))
+    readings = [
+        (rotor.omega, rotor.tau, math.nan, math.nan, math.nan) if result is None
+        else (rotor.omega, rotor.tau, result.transmitted.t_read,
+              result.transmitted.spread, result.transmitted_weight)
+        for rotor, result in series
+    ]
+    omega, tau, t_read, spread, weight = map(list, zip(*readings))
+    lines += _rows([omega, tau, t_read, spread, reference, weight])
     _emit([lines], args.out)
     return 0
 

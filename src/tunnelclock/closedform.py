@@ -15,7 +15,7 @@ arrays of length one. The arrays round like scalar CPython arithmetic
 (see ``_arith``), so each element equals, bit for bit, what that
 parameter set alone gives, and the 17-digit CSV does not depend on how
 many points are evaluated at once. Where the scalar arithmetic would
-raise, the set is marked in a mask instead.
+raise, the set is marked in a mask instead and its values are NaN.
 """
 
 from __future__ import annotations
@@ -130,8 +130,8 @@ class DoubleBarrierGrid:
 
     ok is False where the set leaves the tunneling regime, where times,
     perturbed_amplitude, abs(amplitude) ** 2 or near_resonance would
-    raise for it, or where a time is not finite. The other arrays hold
-    meaningless values there.
+    raise for it, or where a time is not finite. The times and trans_prob
+    are NaN there, and proximity is NaN outside the tunneling regime.
     """
 
     t_whole: np.ndarray
@@ -353,26 +353,25 @@ def grid(V0, a, d, E, units: UnitsConfig = NATURAL_UNITS) -> DoubleBarrierGrid:
     V0, a, d and E are floats or arrays of one length; each element of the
     result equals the point functions at that set bit for bit, and a set
     where they raise (out of the tunneling regime, or out of the float
-    range) is marked in ok instead.
+    range) is marked in ok instead, with NaN values.
     """
     V0, a, d, E = _arrays(V0, a, d, E)
     m, hbar = units.mass, units.hbar
     with np.errstate(all="ignore"):
-        ok = (np.isfinite(V0) & np.isfinite(a) & np.isfinite(d) & np.isfinite(E)
-              & (a > 0) & (d > 0) & (0 < E) & (E < V0))
+        regime = (np.isfinite(V0) & np.isfinite(a) & np.isfinite(d) & np.isfinite(E)
+                  & (a > 0) & (d > 0) & (0 < E) & (E < V0))
         # Sets outside the regime are evaluated at a stand-in and masked.
-        V0, E = np.where(ok, V0, 2.0), np.where(ok, E, 1.0)
-        a, d = np.where(ok, a, 1.0), np.where(ok, d, 1.0)
-        bad = ~ok
+        V0, E = np.where(regime, V0, 2.0), np.where(regime, E, 1.0)
+        a, d = np.where(regime, a, 1.0), np.where(regime, d, 1.0)
+        bad = ~regime
         k = np.sqrt(2.0 * m * E) / hbar
         q = np.sqrt(2.0 * m * (V0 - E)) / hbar
         t = _terms(k, q, a, d, bad)
-        t_whole, t_between, t_barriers, t_opaque = _times(k, q, a, d, units, t, bad)
+        values = _times(k, q, a, d, units, t, bad)
         trans_prob = _square(_cabs(_amplitude(k, k, q, a, d, t, bad), bad), bad)
         proximity = _proximity(k, q, d, bad)
-    return DoubleBarrierGrid(
-        t_whole, t_between, t_barriers, t_opaque, trans_prob, proximity, ~bad
-    )
+    return DoubleBarrierGrid(*(np.where(bad, np.nan, v) for v in (*values, trans_prob)),
+                             np.where(regime, proximity, np.nan), ~bad)
 
 
 def _shifted_wavenumbers(params: DoubleBarrierParams, coupling: float) -> tuple[float, float]:

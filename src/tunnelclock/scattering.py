@@ -186,8 +186,8 @@ def _sweep(
     edge, and the running log-scale they were divided by. Where a barrier's
     growth would overflow the exponential, the growth is folded into the
     log-scale before exponentiating; every other step keeps its bits.
-    Raises InvalidParameterError where a region's phase kappa*width or the
-    wave's growth across a region leaves the float range.
+    Raises InvalidParameterError where a region's width, its phase
+    kappa*width or the wave's growth across it leaves the float range.
     """
     n = len(kappas) - 2
     stored: list[tuple[complex, complex]] = [(0j, 0j)] * (n + 2)
@@ -201,6 +201,9 @@ def _sweep(
         edge_b = 0.5 * ((1.0 - ratio) * amp_f + (1.0 + ratio) * amp_b)
         if r >= 1:
             width = bp[r] - bp[r - 1]
+            if width == math.inf:
+                # e^{-ik inf} is nan+nanj in cmath, with no error raised.
+                raise InvalidParameterError("a region's width leaves the float range")
             try:
                 amp_f = _scaled_exp(edge_f, -1j * kappas[r] * width)
                 amp_b = _scaled_exp(edge_b, 1j * kappas[r] * width)

@@ -223,6 +223,12 @@ def test_potential_file_errors(tmp_path, capsys):
     with pytest.raises(InvalidParameterError, match="end with a breakpoint"):
         load_potential_file(str(bad))
 
+    for text in ("", "# only a comment\n\n"):
+        bad.write_text(text, encoding="utf-8")
+        with pytest.raises(InvalidParameterError) as caught:
+            load_potential_file(str(bad))
+        assert str(caught.value) == f"{bad}: file must hold a breakpoint line"
+
     missing = tmp_path / "missing.txt"
     with pytest.raises(InvalidParameterError, match="cannot read"):
         load_potential_file(str(missing))

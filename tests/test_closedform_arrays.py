@@ -255,6 +255,9 @@ def test_rows_equal_the_scalar_oracle(points, units):
         expected = _oracle_row(*point, mass, hbar)
         assert rows.ok[i] == (expected is not None), point
         if expected is None:
+            assert all(math.isnan(v[i]) for v in values), point
+            if _outcome(_oracle_validate, *point) is None:
+                assert math.isnan(rows.proximity[i]), point
             continue
         got = [float(v[i]) for v in values]
         assert all(map(_same, got, expected[0])), (point, got, expected[0])
@@ -324,6 +327,23 @@ def test_every_float_range_extreme_matches_the_oracle():
     assert math.isnan(got.t_between_asymptotic)
     assert all(map(_same, (got.t_whole, got.t_between, got.t_barriers, got.t_opaque),
                    _oracle_times(*point, 1.0, 1.0)[:4]))
+
+
+def test_grid_values_are_nan_wherever_undefined():
+    # in the regime; E = V0 and E > V0; E = 0 and E < 0; non-finite
+    # inputs; and V0 = 1e300, in the regime but past the float range
+    points = [(0.018, 10.0, 10.0, 0.01), (0.018, 10.0, 10.0, 0.018),
+              (0.018, 10.0, 10.0, 0.02), (0.018, 10.0, 10.0, 0.0),
+              (0.018, 10.0, 10.0, -0.001), (math.inf, 10.0, 10.0, 0.01),
+              (0.018, math.nan, 10.0, 0.01), (0.018, 10.0, -math.inf, 0.01),
+              (0.018, 10.0, 10.0, math.nan), (1e300, 10.0, 10.0, 0.01)]
+    V0, a, d, E = (np.array(column) for column in zip(*points))
+    rows = grid(V0, a, d, E)
+    assert rows.ok.tolist() == [True] + [False] * 9
+    for values in (rows.t_whole, rows.t_between, rows.t_barriers, rows.t_opaque,
+                   rows.trans_prob):
+        assert np.isnan(values).tolist() == [False] + [True] * 9
+    assert np.isnan(rows.proximity).tolist() == [False] + [True] * 8 + [False]
 
 
 def test_grid_raises_no_warning():

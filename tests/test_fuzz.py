@@ -3,8 +3,8 @@
 Every float flag of times, sweep, fig1, clock-sim and check takes each of
 the float-range extremes in turn, then seeded pairs of flags take two at
 once. Apart from that, every call reads potential files that are not
-plain LF-terminated UTF-8 text, and writes --out paths that cannot be
-opened. Every run must end with exit code 0, 1 or 2 and leave no
+plain LF-terminated UTF-8 text or hold no breakpoint, and writes --out
+paths that cannot be opened. Every run must end with exit code 0, 1 or 2 and leave no
 Traceback on stderr; a raw exception out of main fails the run too. A
 run that exits 0 must print only CSV data cells that are finite numbers
 or NA, with flag 1 on every row that has an NA, and no run may raise a
@@ -151,12 +151,15 @@ def test_extremes_and_pairs_end_cleanly(tmp_path):
     assert failures == []
 
 
-# Potential files that are not plain LF-terminated UTF-8 text.
+# Potential files that are not plain LF-terminated UTF-8 text, or hold
+# no breakpoint.
 ODD_FILES = {
     "invalid-utf8": BARRIER_FILE.encode().replace(b"0.018", b"\xff0.018"),
     "nul-byte": BARRIER_FILE.encode().replace(b"0.018", b"0.0\x0018"),
     "utf8-bom": b"\xef\xbb\xbf" + BARRIER_FILE.encode(),
     "crlf": BARRIER_FILE.replace("\n", "\r\n").encode(),
+    "empty": b"",
+    "comment-only": b"# no breakpoints\n\n",
 }
 
 

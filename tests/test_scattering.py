@@ -8,10 +8,15 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad, solve_ivp
 
-from tunnelclock.errors import DegenerateEnergyError, InvalidParameterError
+from tunnelclock.errors import (
+    CouplingWarning,
+    DegenerateEnergyError,
+    InvalidParameterError,
+    TunnelClockError,
+)
 from tunnelclock.potentials import (
     ClockRegion,
     PiecewiseConstantPotential,
@@ -19,6 +24,7 @@ from tunnelclock.potentials import (
     double_barrier,
 )
 from tunnelclock import scattering
+from tunnelclock.rotor import ClockRotor, measurement_simulation
 from tunnelclock.scattering import _scaled_exp, dwell_time, overlap_integrals, solve
 
 
@@ -234,6 +240,44 @@ def test_phase_and_growth_beyond_float_range_rejected():
     assert sol.transmission == 0.0 and abs(sol.reflection) == pytest.approx(1.0)
     with pytest.raises(InvalidParameterError, match="growth across a region"):
         solve(PiecewiseConstantPotential((0.0, 1e154), (1e10,)), 0.01, units)
+
+
+@st.composite
+def stacks_to_the_float_range(draw):
+    """Stacks of 1-4 regions with breakpoints anywhere in the float range,
+    so some widths overflow to inf."""
+    largest = 1.7976931348623157e308
+    edges = st.one_of(st.floats(-largest, largest),
+                      st.sampled_from([-largest, -1e308, 0.0, 1e308, largest]))
+    breakpoints = sorted(draw(st.sets(edges, min_size=2, max_size=5)))
+    heights = [draw(st.sampled_from([0.0, 0.005, 0.018]))
+               for _ in breakpoints[1:]]
+    return PiecewiseConstantPotential(tuple(breakpoints), tuple(heights))
+
+
+@settings(max_examples=80, deadline=None)
+@given(potential=stacks_to_the_float_range())
+@example(potential=PiecewiseConstantPotential((-1e308, 1e308), (0.0,)))
+def test_widths_past_the_float_range_give_numbers_or_errors(potential):
+    # an infinite width made e^{-ik width} nan+nanj without an error
+    try:
+        sol = solve(potential, 0.01)
+    except InvalidParameterError:
+        pass
+    else:
+        for amplitude in (sol.transmission, sol.reflection):
+            assert cmath.isfinite(amplitude), potential
+    region = ClockRegion(*potential.support)
+    for n in (5, 81):  # scalar levels, and one lane batch
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", CouplingWarning)
+            try:
+                result = measurement_simulation(potential, region, 0.01, ClockRotor(n, 1e6))
+            except TunnelClockError:
+                continue
+        reading = result.transmitted
+        assert math.isfinite(reading.t_read) and math.isfinite(reading.spread), potential
+        assert math.isfinite(result.transmitted_weight), potential
 
 
 def test_reflection_phase_undefined_on_exact_zero():

@@ -46,10 +46,12 @@ def test_fig1_data_writes_both_panels(tmp_path, capsys):
     script = _load("fig1_data")
     assert script.main(["--count", "20", "--out-dir", str(tmp_path)]) == 0
     assert sorted(p.name for p in tmp_path.iterdir()) == ["panel_a.csv", "panel_b.csv"]
-    for path in tmp_path.iterdir():
-        lines = [line for line in path.read_text().splitlines()
+    out = capsys.readouterr().out
+    for panel, a in (("a", 10), ("b", 30)):
+        lines = [line for line in (tmp_path / f"panel_{panel}.csv").read_text().splitlines()
                  if line and not line.startswith("#")]
         assert lines[0].startswith("swept,")
         assert len(lines) == 21
-    out = capsys.readouterr().out
-    assert "panel a (a=10)" in out and "panel b (a=30)" in out
+        # the summary counts the flagged rows of the CSV it wrote
+        flagged = sum(line.endswith(",1") for line in lines[1:])
+        assert f"panel {panel} (a={a}): {flagged} flagged peak points" in out
