@@ -1,23 +1,23 @@
 #!/usr/bin/env python3
 """Convergence study: pointer readings against the exact clock time.
 
-Runs the discrete-clock measurement on the bundled double barrier over a
-series of halved couplings (rotor.measurement_series, the routine behind
-`tunnelclock clock-sim`) and prints the reading error per row. The error
+Runs `tunnelclock clock-sim` on the bundled double barrier over a series of
+halved couplings and prints the reading error per row of its CSV. The error
 shrinks about quadratically in the coupling because the symmetric level
 spectrum cancels the first-order back-action term. The reference is the
-transmission clock time of clock_times, from overlap integrals. A row whose
-coupling is too strong for the energy margin is reported as such.
+CSV's t_perturbative, the transmission clock time from overlap integrals.
+A row whose coupling is too strong for the energy margin is reported as such.
 """
 
 import argparse
+import contextlib
+import csv
+import io
 import sys
 import warnings
 
-from tunnelclock.clocktimes import clock_times
+from tunnelclock.cli import main as cli_main
 from tunnelclock.errors import CouplingWarning
-from tunnelclock.potentials import ClockRegion, double_barrier
-from tunnelclock.rotor import ClockRotor, measurement_series
 
 
 def main(argv=None):
@@ -33,28 +33,28 @@ def main(argv=None):
     parser.add_argument("--d", type=float, default=10.0)
     args = parser.parse_args(argv)
 
-    potential = double_barrier(args.V0, args.a, args.d)
-    region = ClockRegion(0.0, 2.0 * args.a + args.d)
-    reference = clock_times(potential, region, args.E).transmitted
+    out = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out):
+        warnings.simplefilter("ignore", CouplingWarning)
+        # every flag of this script is a clock-sim flag of the same name
+        code = cli_main(["clock-sim", *(f"--{k}={v!r}" for k, v in vars(args).items())])
+    if code != 0:
+        return code
+    rows = list(csv.DictReader(line for line in out.getvalue().splitlines()
+                               if not line.startswith("#")))
+    reference = float(rows[0]["t_perturbative"].replace("NA", "nan"))
     print(f"overlap-integral clock time: {reference:.12g}")
     print(f"{'omega':>14} {'tau':>12} {'t_read':>16} {'abs error':>12} {'ratio':>7}")
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", CouplingWarning)
-        rows = measurement_series(
-            potential, region, args.E, ClockRotor(args.N, args.tau), args.halvings
-        )
     previous = None
-    for rotor, result in rows:
-        if result is None:
-            print(f"{rotor.omega:14.6e} {rotor.tau:12.6g} coupling too strong")
+    for row in rows:
+        omega, tau = float(row["omega"]), float(row["tau"])
+        if row["t_read"] == "NA":
+            print(f"{omega:14.6e} {tau:12.6g} coupling too strong")
             continue
-        error = abs(result.transmitted.t_read - reference)
+        t_read = float(row["t_read"])
+        error = abs(t_read - reference)
         ratio = "" if previous is None else f"{previous / error:7.2f}"
-        print(
-            f"{rotor.omega:14.6e} {rotor.tau:12.6g} "
-            f"{result.transmitted.t_read:16.10g} {error:12.4e} {ratio}"
-        )
+        print(f"{omega:14.6e} {tau:12.6g} {t_read:16.10g} {error:12.4e} {ratio}")
         previous = error
     return 0
 

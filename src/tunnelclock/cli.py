@@ -107,8 +107,8 @@ def _head(command: str, units: UnitsConfig, params: str, header: str) -> list[st
 
 def _emit(blocks: Iterable[list[str]], out_path: str | None) -> None:
     """Write each block of lines as soon as it is made, to stdout or to
-    out_path. Callers compute what can fail first, so a failed call
-    writes nothing; a sweep's row blocks, made while writing, cannot fail."""
+    out_path. Commands compute what can fail before they return, so a failed
+    call writes nothing; a sweep's row blocks, made while writing, cannot fail."""
     if out_path is None:
         fh = contextlib.nullcontext(sys.stdout)
     else:
@@ -167,6 +167,14 @@ def load_potential_file(path: str) -> PiecewiseConstantPotential:
     return PiecewiseConstantPotential(tuple(breakpoints), tuple(heights))
 
 
+def _require_double_barrier(args: argparse.Namespace, names: tuple[str, ...]) -> None:
+    for name in names:
+        if getattr(args, name) is None:
+            raise InvalidParameterError(
+                f"double-barrier mode needs --{name} (or use --potential)"
+            )
+
+
 DB_COLUMNS = "t_whole,t_between,t_barriers,t_opaque,trans_prob,flag"
 
 
@@ -190,8 +198,7 @@ def _double_barrier_rows(
     return _rows([*lead, *(v.tolist() for v in values)], near), g.ok
 
 
-def cmd_times(args: argparse.Namespace) -> int:
-    units = UnitsConfig(mass=args.mass, hbar=args.hbar)
+def cmd_times(args: argparse.Namespace, units: UnitsConfig) -> tuple[list[list[str]], int]:
     if args.potential is not None:
         if args.z1 is None or args.z2 is None or args.E is None:
             raise InvalidParameterError(
@@ -211,11 +218,7 @@ def cmd_times(args: argparse.Namespace) -> int:
     else:
         from . import closedform
 
-        for name in ("E", "V0", "a", "d"):
-            if getattr(args, name) is None:
-                raise InvalidParameterError(
-                    f"double-barrier mode needs --{name} (or use --potential)"
-                )
+        _require_double_barrier(args, ("E", "V0", "a", "d"))
         params = closedform.DoubleBarrierParams(
             V0=args.V0, a=args.a, d=args.d, E=args.E, units=units
         )
@@ -227,8 +230,7 @@ def cmd_times(args: argparse.Namespace) -> int:
             f"E={_fmt(args.E)} V0={_fmt(args.V0)} a={_fmt(args.a)} d={_fmt(args.d)}",
             "E,V0,a,d," + DB_COLUMNS,
         ) + rows
-    _emit([lines], args.out)
-    return 0
+    return [lines], 0
 
 
 _AXES = ("d", "a", "E", "V0")
@@ -261,8 +263,7 @@ def _sweep_rows(axis: str, start: float, stop: float, count: int,
     )
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
-    units = UnitsConfig(mass=args.mass, hbar=args.hbar)
+def cmd_sweep(args: argparse.Namespace, units: UnitsConfig) -> tuple[Iterator[list[str]], int]:
     if not args.start < args.stop:
         raise InvalidParameterError(
             f"--start must be below --stop, got {args.start} and {args.stop}"
@@ -298,8 +299,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         f" count={args.count} {fixed_text}",
         "swept,E,V0,a,d," + DB_COLUMNS,
     )
-    _emit(itertools.chain([head], rows), args.out)
-    return 0
+    return itertools.chain([head], rows), 0
 
 
 FIG1_E = 0.01
@@ -309,8 +309,7 @@ FIG1_D_STOP = 100.0
 FIG1_BARRIER_WIDTH = {"a": 10.0, "b": 30.0}
 
 
-def cmd_fig1(args: argparse.Namespace) -> int:
-    units = UnitsConfig(mass=args.mass, hbar=args.hbar)
+def cmd_fig1(args: argparse.Namespace, units: UnitsConfig) -> tuple[Iterator[list[str]], int]:
     if args.count < 2:
         raise InvalidParameterError(f"--count must be >= 2, got {args.count}")
     a = FIG1_BARRIER_WIDTH[args.panel]
@@ -322,8 +321,7 @@ def cmd_fig1(args: argparse.Namespace) -> int:
         f" d={_fmt(FIG1_D_START)}..{_fmt(FIG1_D_STOP)} count={args.count}",
         "swept,E,V0,a,d," + DB_COLUMNS,
     )
-    _emit(itertools.chain([head], rows), args.out)
-    return 0
+    return itertools.chain([head], rows), 0
 
 
 def _show_warning(show, message, category, *args, **kwargs) -> None:
@@ -335,23 +333,20 @@ def _show_warning(show, message, category, *args, **kwargs) -> None:
         show(message, category, *args, **kwargs)
 
 
-def cmd_clock_sim(args: argparse.Namespace) -> int:
+def cmd_clock_sim(args: argparse.Namespace, units: UnitsConfig) -> tuple[list[list[str]], int]:
     from .rotor import ClockRotor, measurement_series
 
-    units = UnitsConfig(mass=args.mass, hbar=args.hbar)
     if args.potential is not None:
         potential = load_potential_file(args.potential)
         source = f"potential={args.potential}"
     else:
-        for name in ("V0", "a", "d"):
-            if getattr(args, name) is None:
-                raise InvalidParameterError(
-                    f"double-barrier mode needs --{name} (or use --potential)"
-                )
+        _require_double_barrier(args, ("V0", "a", "d"))
         potential = double_barrier(args.V0, args.a, args.d)
         source = f"V0={_fmt(args.V0)} a={_fmt(args.a)} d={_fmt(args.d)}"
     if args.E is None:
         raise InvalidParameterError("--E is required")
+    if not potential.heights and None in (args.z1, args.z2):
+        raise InvalidParameterError(f"{args.potential}: file holds no region; give --z1 and --z2")
     lo, hi = potential.support
     z1 = args.z1 if args.z1 is not None else lo
     z2 = args.z2 if args.z2 is not None else hi
@@ -379,12 +374,10 @@ def cmd_clock_sim(args: argparse.Namespace) -> int:
     ]
     omega, tau, t_read, spread, weight = map(list, zip(*readings))
     lines += _rows([omega, tau, t_read, spread, reference, weight])
-    _emit([lines], args.out)
-    return 0
+    return [lines], 0
 
 
-def cmd_check(args: argparse.Namespace) -> int:
-    units = UnitsConfig(mass=args.mass, hbar=args.hbar)
+def cmd_check(args: argparse.Namespace, units: UnitsConfig) -> tuple[list[list[str]], int]:
     suite = decomposition_suite(count=args.count, seed=args.seed, units=units)
     lines = [
         f"# tunnelclock check: count={args.count} seed={args.seed}"
@@ -394,8 +387,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     ]
     passed = suite.max_residual <= RESIDUAL_TOLERANCE
     lines.append("PASS" if passed else "FAIL")
-    _emit([lines], args.out)
-    return 0 if passed else 1
+    return [lines], 0 if passed else 1
 
 
 # argparse takes a token that starts with '-' for an option unless it
@@ -526,7 +518,9 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        blocks, code = args.func(args, UnitsConfig(mass=args.mass, hbar=args.hbar))
+        _emit(blocks, args.out)
+        return code
     except (InvalidParameterError, CouplingWarning) as exc:
         # a CouplingWarning arrives here only where the warning filters
         # turn it into an error

@@ -17,6 +17,7 @@ from tunnelclock import cli, rotor
 from tunnelclock.cli import build_parser, load_potential_file, main
 from tunnelclock.closedform import DoubleBarrierParams, times
 from tunnelclock.errors import CouplingWarning, InvalidParameterError
+from tunnelclock.potentials import UnitsConfig
 from tunnelclock.rotor import ClockRotor
 
 BARRIER_FILE = """\
@@ -438,6 +439,24 @@ def test_sweep_writes_each_block_before_it_builds_the_next(monkeypatch):
     assert out.getvalue().count("\n") == 14
 
 
+@pytest.mark.parametrize("command", [
+    "times --E 0.01 --V0 0.018 --a 10 --d 10",
+    "sweep --axis E --start -0.005 --stop 0.03 --count 7 --V0 0.018 --a 10 --d 10",
+    "fig1 --panel b --count 5",
+    "clock-sim --N 5 --tau 1e5 --halvings 1 --E 0.01 --V0 0.018 --a 10 --d 10",
+    "check --count 5 --seed 2",
+])
+def test_commands_return_the_blocks_main_writes(capsys, command):
+    args = build_parser().parse_args(command.split())
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        blocks, code = args.func(args, UnitsConfig(mass=args.mass, hbar=args.hbar))
+        text = "".join("\n".join(block) + "\n" for block in blocks)
+    assert out.getvalue() == ""
+    assert main(command.split()) == code == 0
+    assert capsys.readouterr() == (text, "")
+
+
 def test_golden_clock_sim_potential_file(tmp_path, monkeypatch):
     # the output names the potential file, so run from its directory
     (tmp_path / "pot.txt").write_text(BARRIER_FILE, encoding="utf-8")
@@ -671,6 +690,21 @@ def test_clock_sim_potential_file_region_defaults(tmp_path):
     _, rows = parse_csv(text)
     assert len(rows) == 1
     assert rows[0][-1] == "0"
+
+
+def test_clock_sim_potential_without_regions_needs_the_clock_region(tmp_path, capsys):
+    # one breakpoint gives support (0, 0), which cannot be a default region
+    pot_file = tmp_path / "point.txt"
+    pot_file.write_text("breakpoint 0\n", encoding="utf-8")
+    argv = f"clock-sim --potential {pot_file} --E 0.01 --N 5 --tau 1e6 --halvings 0".split()
+    for flags in ([], ["--z1", "0"], ["--z2", "5"]):
+        assert main(argv + flags) == 2
+        assert capsys.readouterr() == (
+            "", f"tunnelclock: {pot_file}: file holds no region; give --z1 and --z2\n")
+    code, text = run_to_file(tmp_path, argv + ["--z1", "0", "--z2", "5"])
+    assert code == 0
+    _, rows = parse_csv(text)
+    assert as_float(rows[0][2]) == pytest.approx(as_float(rows[0][4]), rel=1e-8)
 
 
 WIDE_BARRIER_FILE = """\

@@ -50,6 +50,11 @@ def test_breakpoints_must_increase():
         PiecewiseConstantPotential((1.0, 0.0), (1.0,))
 
 
+def test_at_least_one_breakpoint_required():
+    with pytest.raises(InvalidParameterError, match="^at least one breakpoint is required$"):
+        PiecewiseConstantPotential((), ())
+
+
 def test_heights_length_checked():
     with pytest.raises(InvalidParameterError):
         PiecewiseConstantPotential((0.0, 1.0), (1.0, 2.0))
@@ -85,6 +90,13 @@ def test_perturb_zero_strength_is_identity():
     same = perturb(pot, ClockRegion(3.0, 17.0), 0.0)
     for z in (-1.0, 0.0, 3.0, 5.0, 10.0, 16.9, 17.0, 25.0, 31.0):
         assert same(z) == pot(z)
+
+
+@pytest.mark.parametrize("strength", [math.inf, -math.inf, math.nan])
+def test_perturb_strength_must_be_finite(strength):
+    pot = double_barrier(0.018, 10.0, 10.0)
+    with pytest.raises(InvalidParameterError, match="^perturbation strength must be finite$"):
+        perturb(pot, ClockRegion(0.0, 30.0), strength)
 
 
 def test_perturb_free_builds_barrier():

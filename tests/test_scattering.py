@@ -214,6 +214,11 @@ def test_degenerate_energy_rejected():
         solve(pot, -0.01)
     with pytest.raises(InvalidParameterError):
         solve(pot, 0.0)
+    # V lies one float above E and hbar is large: kappa underflows to zero
+    barely_below = PiecewiseConstantPotential((0.0, 1.0), (math.nextafter(1e-300, 1.0),))
+    with pytest.raises(InvalidParameterError, match="^energy 1e-300 gives a local "
+                       "wavenumber that underflows to zero$"):
+        solve(barely_below, 1e-300, UnitsConfig(1.0, 1e166))
 
 
 def test_infinite_local_wavenumber_rejected():
@@ -240,6 +245,9 @@ def test_phase_and_growth_beyond_float_range_rejected():
     assert sol.transmission == 0.0 and abs(sol.reflection) == pytest.approx(1.0)
     with pytest.raises(InvalidParameterError, match="growth across a region"):
         solve(PiecewiseConstantPotential((0.0, 1e154), (1e10,)), 0.01, units)
+    # a finite width whose phase kappa*width overflows inside the sweep
+    with pytest.raises(InvalidParameterError, match="^a phase k\\*z leaves the float range$"):
+        solve(PiecewiseConstantPotential((0.0, 1e300), (0.0,)), 1e300)
 
 
 @st.composite

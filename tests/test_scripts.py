@@ -30,6 +30,19 @@ def test_clock_convergence_prints_one_row_per_coupling(capsys):
     assert all(3.5 < ratio < 4.5 for ratio in ratios)
 
 
+def test_clock_convergence_reports_strong_couplings_and_failures(capsys):
+    script = _load("clock_convergence")
+    # tau = 300 pushes the first row's largest level shift past the energy margin
+    assert script.main(["--tau", "300", "--halvings", "1"]) == 0
+    rows = capsys.readouterr().out.splitlines()[2:]
+    assert len(rows) == 2
+    assert rows[0].endswith(" 300 coupling too strong")
+    assert "coupling too strong" not in rows[1]
+    # a failed clock-sim run gives its exit code and its one stderr line
+    assert script.main(["--N", "4"]) == 2
+    assert capsys.readouterr() == ("", "tunnelclock: N must be odd and >= 3, got 4\n")
+
+
 @pytest.mark.parametrize("argv, digest", [
     ([], "4e1d5b19185ed3af88712eca86c4d02c16997ab1757a188a507a5212aeace278"),
     (["--N", "401", "--halvings", "3"],
