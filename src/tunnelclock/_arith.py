@@ -85,9 +85,12 @@ def _cexp(z, bad: np.ndarray):
     """
     plain = np.isfinite(z[1]) & (np.abs(z[0]) < 700.0)
     re, im = np.where(plain, z[0], 0.0), np.where(plain, z[1], 0.0)
-    scale = _each(math.exp, re)
-    # cos(+-0) is 1 and sin(+-0) is +-0 exactly, so math.cos and math.sin
-    # run only where im is nonzero.
+    # exp(+-0) and cos(+-0) are 1 and sin(+-0) is +-0 exactly, so math.exp
+    # runs only where re is nonzero, and math.cos and math.sin only where
+    # im is.
+    growing = np.flatnonzero(re)
+    scale = np.ones_like(re)
+    scale[growing] = _each(math.exp, re[growing])
     turning = np.flatnonzero(im)
     cos, sin = np.ones_like(im), im.copy()
     cos[turning] = _each(math.cos, im[turning])

@@ -67,30 +67,16 @@ def _fmt(value: float | None) -> str:
     return f"{value:.17g}"
 
 
-def _rows(columns: list, near: list[bool] | None = None) -> list[str]:
+def _rows(columns: list) -> list[str]:
     """CSV data rows, one per element of the list columns.
 
-    A list column holds one float per row, NaN where the value is
-    undefined; any other column is the one float or None that every row
-    shares. Cells carry 17 significant digits, or NA for NaN or None; the
-    flag column reads 1 where near is set or the row has an NA cell. Each
-    row fills one % template that holds the shared cells already; a list
-    that appears more than once is formatted once, before the rows.
+    A list column holds one float per row; any other column is the one
+    float or None that every row shares. Cells are _fmt's; the flag
+    column reads 1 where the row has an NA cell.
     """
     count = max((len(c) for c in columns if isinstance(c, list)), default=1)
-    repeated = {}
-    for c in columns:
-        if isinstance(c, list) and id(c) not in repeated and sum(d is c for d in columns) > 1:
-            repeated[id(c)] = list(map("%.17g".__mod__, c))
-    template = ",".join("%s" if id(c) in repeated else "%.17g" if isinstance(c, list)
-                        else _fmt(c) for c in columns) + ",%d"
-    lists = [repeated.get(id(c), c) for c in columns if isinstance(c, list)]
-    rows = list(map(template.__mod__, zip(*lists, near or [False] * count)))
-    if "NA" in template or "nan" in "".join(rows):
-        # Only a NaN value formats as nan.
-        rows = [row[:-1] + "1" if "NA" in row else row
-                for row in (row.replace("nan", "NA") for row in rows)]
-    return rows
+    cells = (map(_fmt, c) if isinstance(c, list) else [_fmt(c)] * count for c in columns)
+    return [",".join(row) + (",1" if "NA" in row else ",0") for row in zip(*cells)]
 
 
 def _head(command: str, units: UnitsConfig, params: str, header: str) -> list[str]:
@@ -179,23 +165,29 @@ DB_COLUMNS = "t_whole,t_between,t_barriers,t_opaque,trans_prob,flag"
 
 
 def _double_barrier_rows(
-    lead: list[float | list[float]], units: UnitsConfig
+    lead: list[float | np.ndarray], units: UnitsConfig
 ) -> tuple[list[str], np.ndarray]:
-    """CSV rows of the closed forms over a grid, and where they are defined.
+    """CSV rows of the closed forms over a grid, as one text, and where
+    they are defined.
 
     lead holds the columns printed before the closed forms; its last four
     are E, V0, a and d. Each is a float, the same on every row, or the one
-    grid list, which may appear more than once. The grid goes through
+    grid array, which may appear more than once. The grid goes through
     closedform.grid in one pass, which gives NaN, printed NA, wherever a
-    value is undefined.
+    value is undefined, and its cells through one pass of _cells.rows.
     """
-    from . import closedform
+    import numpy as np
+
+    from . import _cells, closedform
 
     E, V0, a, d = lead[-4:]
     g = closedform.grid(V0, a, d, E, units)
-    values = [g.t_whole, g.t_between, g.t_barriers, g.t_opaque, g.trans_prob]
-    near = (g.proximity < closedform.NEAR_RESONANCE_CUTOFF).tolist()
-    return _rows([*lead, *(v.tolist() for v in values)], near), g.ok
+    text = _cells.rows(
+        [_fmt(c) if isinstance(c, float) else c for c in lead],
+        np.array([g.t_whole, g.t_between, g.t_barriers, g.t_opaque, g.trans_prob]).T,
+        g.proximity < closedform.NEAR_RESONANCE_CUTOFF,
+    )
+    return [text], g.ok
 
 
 def cmd_times(args: argparse.Namespace, units: UnitsConfig) -> tuple[list[list[str]], int]:
@@ -236,9 +228,11 @@ def cmd_times(args: argparse.Namespace, units: UnitsConfig) -> tuple[list[list[s
 _AXES = ("d", "a", "E", "V0")
 
 # Grid points per array pass of a sweep, and rows per written block. A
-# pass holds some 60 arrays of this length and the block's rows at once,
-# so blocks bound its memory; every point is computed on its own, so any
-# block size gives the same rows.
+# pass holds some 60 arrays of this length (0.35 MB at 1024 points); the
+# cell formatter then holds the block's cells as 8-byte words, 470 bytes
+# a sweep row, and up to 140 bytes more for each of a row's five values
+# (1.2 MB in all at 1024 rows). So blocks bound its memory; every point
+# is computed on its own, so any block size gives the same rows.
 SWEEP_BLOCK_ROWS = 1024
 
 
@@ -253,7 +247,7 @@ def _sweep_rows(axis: str, start: float, stop: float, count: int,
     import numpy as np
 
     grid = np.linspace(start, stop, count)
-    parts = (grid[lo:lo + SWEEP_BLOCK_ROWS].tolist() for lo in range(0, count, SWEEP_BLOCK_ROWS))
+    parts = (grid[lo:lo + SWEEP_BLOCK_ROWS] for lo in range(0, count, SWEEP_BLOCK_ROWS))
     return (
         _double_barrier_rows(
             [part] + [part if name == axis else fixed[name] for name in ("E", "V0", "a", "d")],

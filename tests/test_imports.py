@@ -1,11 +1,13 @@
 """Which commands import numpy, each in a fresh interpreter.
 
 The generic route (potentials, scattering, clocktimes, checks) never
-uses numpy, and the package and the CLI import closedform, rotor and
-numpy only where a command needs them. This test process imported
-numpy long ago, so each case runs in its own ``python -c``.
+uses numpy, and the package and the CLI import closedform, rotor, the
+cell formatter and numpy only where a command needs them. This test
+process imported numpy long ago, so each case runs in its own
+``python -c``.
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -29,17 +31,22 @@ breakpoint 25.0
 """
 
 
-def numpy_imported(statement, cwd):
-    """Whether numpy is in sys.modules after the statement runs in a
-    fresh interpreter with this checkout's package on the path."""
+WATCHED = ("numpy", "tunnelclock._cells")
+
+
+def loaded(statement, cwd):
+    """Which of numpy and the cell formatter are in sys.modules after the
+    statement runs in a fresh interpreter with this checkout's package on
+    the path."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    code = f"import sys\n{statement}\nprint('numpy' in sys.modules, file=sys.stderr)"
+    code = (f"import sys\n{statement}\n"
+            f"print(sorted(set(sys.modules) & {set(WATCHED)!r}), file=sys.stderr)")
     done = subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    return {"True": True, "False": False}[done.stderr.splitlines()[-1]]
+    return set(ast.literal_eval(done.stderr.splitlines()[-1]))
 
 
 @pytest.mark.parametrize("statement", [
@@ -52,18 +59,26 @@ def numpy_imported(statement, cwd):
 ])
 def test_generic_route_never_imports_numpy(tmp_path, statement):
     (tmp_path / "pot.txt").write_text(BARRIER_FILE, encoding="utf-8")
-    assert not numpy_imported(statement, tmp_path)
+    assert loaded(statement, tmp_path) == set()
+
+
+CLOSED_FORM_TIMES = ("from tunnelclock import cli; cli.main(['times', '--E', '0.01',"
+                     " '--V0', '0.018', '--a', '10', '--d', '10'])")
 
 
 @pytest.mark.parametrize("statement", [
-    "from tunnelclock import cli; cli.main(['times', '--E', '0.01', '--V0', '0.018',"
-    " '--a', '10', '--d', '10'])",
+    CLOSED_FORM_TIMES,
     "from tunnelclock import times",
     "import tunnelclock; tunnelclock.__all__",
 ])
 def test_closed_forms_and_the_full_export_list_import_numpy(tmp_path, statement):
-    # The control: the check above would read False if it saw nothing.
-    assert numpy_imported(statement, tmp_path)
+    # The control: the check above would read an empty set if it saw nothing.
+    assert "numpy" in loaded(statement, tmp_path)
+
+
+def test_only_csv_rows_of_a_grid_import_the_cell_formatter(tmp_path):
+    assert loaded(CLOSED_FORM_TIMES, tmp_path) == set(WATCHED)
+    assert loaded("from tunnelclock import times", tmp_path) == {"numpy"}
 
 
 def test_star_import_and_dir_cover_all():
