@@ -1,8 +1,8 @@
 """float64 arrays that round like CPython's scalar float and complex
 arithmetic, one element per independent scalar computation.
 
-closedform evaluates a sweep of parameter sets and rotor a batch of
-clock levels this way. Each element equals, bit for bit, what plain
+closedform evaluates a sweep of parameter sets and scattering a batch
+of shifted potentials this way. Each element equals, bit for bit, what plain
 CPython 3.11 float and complex arithmetic gives for that element alone,
 so results do not depend on how many are evaluated at once:
 

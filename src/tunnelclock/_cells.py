@@ -214,7 +214,8 @@ def rows(lead: list, values: np.ndarray, near: np.ndarray) -> str:
     newlines.
 
     lead holds the columns before those of values: each the text of the
-    cell every row shares, or a float64 array with one value per row. The
+    cell every row shares, a finite number's, or a float64 array with one
+    value per row. The
     cells of values are made in one pass, those of each lead array in one
     more however often it appears. Cells carry 17 significant digits, or
     NA for NaN; the flag column reads 1 where near is set or the row has
@@ -241,8 +242,6 @@ def _join(lead: list, values: np.ndarray, near: np.ndarray) -> bytearray:
     out = np.frombuffer(buf, "<u8").reshape(count, -1)
     nan = _fill(out[:, starts[-1]:-1].reshape(count, width, WIDTH), values)
     flag = near | np.logical_or.reduce(nan, axis=-1)
-    if any(c == "NA" for c in lead if isinstance(c, str)):
-        flag[:] = True
     done = {}
     for piece, start, stop in zip(pieces, starts, starts[1:]):
         if isinstance(piece, str):

@@ -7,7 +7,7 @@ exactly; reruns with identical flags produce byte-identical output.
 Undefined entries are the literal token NA and set the row's flag column.
 
 Exit codes: 0 success (flagged rows included), 2 argument/validation
-problems, 1 numerical failure.
+problems, 1 numerical failure, out of memory or a failed write.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import contextlib
 import functools
 import itertools
 import math
+import os
 import re
 import sys
 import warnings
@@ -93,8 +94,10 @@ def _head(command: str, units: UnitsConfig, params: str, header: str) -> list[st
 
 def _emit(blocks: Iterable[list[str]], out_path: str | None) -> None:
     """Write each block of lines as soon as it is made, to stdout or to
-    out_path. Commands compute what can fail before they return, so a failed
-    call writes nothing; a sweep's row blocks, made while writing, cannot fail."""
+    out_path, and flush it. Commands compute what can fail before they
+    return, so a failed call writes nothing; a sweep's row blocks, made
+    while writing, cannot fail. A failed write raises OSError and may
+    leave part of the output written."""
     if out_path is None:
         fh = contextlib.nullcontext(sys.stdout)
     else:
@@ -105,6 +108,17 @@ def _emit(blocks: Iterable[list[str]], out_path: str | None) -> None:
     with fh as stream:
         for block in blocks:
             stream.write("\n".join(block) + "\n")
+        stream.flush()
+
+
+def _discard_stdout() -> None:
+    """Point stdout at the null device, so that flushing what a failed
+    write left buffered at interpreter exit cannot fail again (the recipe
+    of the SIGPIPE note in the signal module's docs)."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    with contextlib.suppress(OSError, ValueError):  # a stream without a descriptor
+        os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
 
 
 def load_potential_file(path: str) -> PiecewiseConstantPotential:
@@ -141,7 +155,15 @@ def load_potential_file(path: str) -> PiecewiseConstantPotential:
             raise InvalidParameterError(
                 f"{path}:{lineno}: not a number: {text!r}"
             ) from exc
+        if not math.isfinite(value):
+            raise InvalidParameterError(
+                f"{path}:{lineno}: breakpoints and heights must be finite"
+            )
         if keyword == "breakpoint":
+            if breakpoints and value <= breakpoints[-1]:
+                raise InvalidParameterError(
+                    f"{path}:{lineno}: breakpoints must be strictly increasing"
+                )
             breakpoints.append(value)
             expect = "height"
         else:
@@ -246,7 +268,9 @@ def _sweep_rows(axis: str, start: float, stop: float, count: int,
     """
     import numpy as np
 
-    grid = np.linspace(start, stop, count)
+    with np.errstate(over="ignore"):
+        # Only the last point can overflow, and linspace sets it to stop.
+        grid = np.linspace(start, stop, count)
     parts = (grid[lo:lo + SWEEP_BLOCK_ROWS] for lo in range(0, count, SWEEP_BLOCK_ROWS))
     return (
         _double_barrier_rows(
@@ -525,6 +549,16 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except MemoryError as exc:
         print(f"tunnelclock: out of memory: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        # Only a write raises OSError here: a command turns a failed read
+        # into InvalidParameterError.
+        if args.out is None:
+            _discard_stdout()
+            if isinstance(exc, BrokenPipeError):
+                # The reader has gone, as after head; nothing to report.
+                return 1
+        print(f"tunnelclock: cannot write output: {exc}", file=sys.stderr)
         return 1
 
 

@@ -199,18 +199,17 @@ def _terms(p, q, a, d, bad: np.ndarray) -> _Terms:
     )
 
 
-def _scaled_alpha_beta(k, p, q, t: _Terms):
+def _scaled_alpha_beta(k, q, t: _Terms):
     """Amplitude components alpha_m, beta_m scaled by e^{-2qa}.
 
-    p is the gap wavenumber and q the barrier decay constant, both already
-    shifted by the coupling; k is the fixed exterior wavenumber; t holds
-    the terms of p and q.
+    k is the wavenumber outside the barriers, the gap's included, and q
+    the barrier decay constant; t holds the terms of k and q.
     """
-    alpha = 2.0 * k * q * (2.0 * p * q * t.cos * t.ch + (q * q - p * p) * t.sin * t.sh)
+    alpha = 2.0 * k * q * (2.0 * k * q * t.cos * t.ch + (q * q - k * k) * t.sin * t.sh)
     beta = (
-        -(k * k + q * q) * (p * p + q * q) * t.sin * t.nh
-        + 2.0 * p * q * (q * q - k * k) * t.cos * t.sh
-        + (q * q - p * p) * (q * q - k * k) * t.sin * t.ch
+        -(k * k + q * q) * (k * k + q * q) * t.sin * t.nh
+        + 2.0 * k * q * (q * q - k * k) * t.cos * t.sh
+        + (q * q - k * k) * (q * q - k * k) * t.sin * t.ch
     )
     return alpha, beta
 
@@ -269,7 +268,7 @@ def _times(k, q, a, d, units: UnitsConfig, t: _Terms, bad: np.ndarray):
     """(t_whole, t_between, t_barriers, t_opaque); marks bad where a time
     is not finite or its arithmetic would raise."""
     m, hbar = units.mass, units.hbar
-    alpha, beta = _scaled_alpha_beta(k, k, q, t)
+    alpha, beta = _scaled_alpha_beta(k, q, t)
     g1, g2, g3, g4 = _scaled_gammas(k, q, a, d, t, bad)
     h1 = alpha * g1 - beta * g2
     h2 = alpha * g3 - beta * g4

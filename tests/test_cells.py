@@ -104,4 +104,3 @@ def test_rows_lay_out_shared_repeated_and_undefined_cells():
                     "2.5,0.01,2.5,10,-3,1.0000000000000001e+300,0\n"
                     "1.0000000000000001e-05,0.01,1.0000000000000001e-05,10,"
                     "4.9406564584124654e-324,7,1")
-    assert _cells.rows(["NA"], np.array([[1.0]]), np.array([False])) == "NA,1,1"

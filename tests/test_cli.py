@@ -934,17 +934,19 @@ def test_units_flags_recorded(tmp_path):
     assert "# units: mass=2 hbar=3" in text
 
 
-def run_module(*args):
-    """python <args> -m tunnelclock in a child that imports the same
-    package as this process."""
+def module_env():
+    """The environment of a child that imports the same package as this
+    process."""
     package_root = os.path.dirname(os.path.dirname(tunnelclock.__file__))
     path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, *args],
-        capture_output=True,
-        text=True,
-        env=dict(os.environ, PYTHONPATH=path),
-    )
+    return dict(os.environ, PYTHONPATH=path)
+
+
+def run_module(*args, stdout=subprocess.PIPE):
+    """python <args> in a child that imports the same package as this
+    process, with its stdout captured or sent to stdout."""
+    return subprocess.run([sys.executable, *args], stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, env=module_env())
 
 
 def test_module_entry_point():
@@ -1016,3 +1018,50 @@ def test_clock_sim_passes_other_warnings_through(monkeypatch, capsys):
     assert code == 0
     assert capsys.readouterr().err == "tunnelclock: warning: coupling\n"
     assert [(w.category, str(w.message)) for w in caught] == [(UserWarning, "other")]
+
+
+def test_potential_file_value_errors_name_the_line(tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    cases = [
+        ("breakpoint 0\nheight nan\nbreakpoint 1\n",
+         ":2: breakpoints and heights must be finite"),
+        ("breakpoint 0\nheight 1\n\nbreakpoint 1e999\n",
+         ":4: breakpoints and heights must be finite"),
+        ("breakpoint 0\nheight 1\nbreakpoint 2\nheight 0\nbreakpoint 2\n",
+         ":5: breakpoints must be strictly increasing"),
+    ]
+    for text, message in cases:
+        bad.write_text(text, encoding="utf-8")
+        with pytest.raises(InvalidParameterError) as caught:
+            load_potential_file(str(bad))
+        assert str(caught.value) == f"{bad}{message}"
+        argv = ["times", "--potential", str(bad), "--E", "0.01", "--z1", "0", "--z2", "1"]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"tunnelclock: {bad}{message}\n")
+
+
+TIMES_ARGV = ("-m", "tunnelclock", "times", "--E", "0.01", "--V0", "0.018",
+              "--a", "10", "--d", "10")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_a_failed_write_ends_with_one_line():
+    full = "tunnelclock: cannot write output: [Errno 28] No space left on device\n"
+    result = run_module(*TIMES_ARGV, "--out", "/dev/full")
+    assert (result.returncode, result.stdout, result.stderr) == (1, "", full)
+    # the final flush of stdout fails too
+    with open("/dev/full", "w") as device:
+        result = run_module(*TIMES_ARGV, stdout=device)
+    assert (result.returncode, result.stderr) == (1, full)
+
+
+def test_a_closed_pipe_on_stdout_ends_quietly():
+    # the sweep's rows fill the pipe long before it ends
+    argv = ["-m", "tunnelclock", "sweep", "--axis", "d", "--start", "1", "--stop", "100",
+            "--count", "5000", "--E", "0.01", "--V0", "0.018", "--a", "10"]
+    with subprocess.Popen([sys.executable, *argv], stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, env=module_env()) as child:
+        assert child.stdout.read(100).startswith(b"# tunnelclock sweep")
+        child.stdout.close()
+        assert child.stderr.read() == b""
+        assert child.wait(timeout=120) == 1

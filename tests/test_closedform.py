@@ -200,7 +200,7 @@ def test_gammas_match_finite_differences(a, d, E):
     bad = np.zeros(1, bool)
     terms = closedform._terms(ks, qs, as_, ds, bad)
     scaled = (
-        *closedform._scaled_alpha_beta(ks, ks, qs, terms),
+        *closedform._scaled_alpha_beta(ks, qs, terms),
         *closedform._scaled_gammas(ks, qs, as_, ds, terms, bad),
     )
     assert not bad[0]

@@ -2,9 +2,9 @@
 
 Every float flag of times, sweep, fig1, clock-sim and check takes each of
 the float-range extremes in turn, then seeded pairs of flags take two at
-once. Apart from that, every call reads potential files that are not
-plain LF-terminated UTF-8 text or hold no breakpoint, and writes --out
-paths that cannot be opened. Every run must end with exit code 0, 1 or 2 and leave no
+once, then a few calls near the float limit. Apart from that, every call
+reads odd potential files (see ODD_FILES), and writes --out paths that
+cannot be opened. Every run must end with exit code 0, 1 or 2 and leave no
 Traceback on stderr; a raw exception out of main fails the run too. A
 run that exits 0 must print only CSV data cells that are finite numbers
 or NA, with flag 1 on every row that has an NA, and no run may raise a
@@ -53,6 +53,13 @@ BASES = (
 PAIRS = 300
 SEED = 20261018
 
+# Calls apart from the extremes and pairs of the bases.
+EXTRA_CALLS = (
+    # the grid's last point overflows before linspace sets it to stop
+    "sweep --axis d --start 0.5 --stop 1.7976931348623157e308 --count 7"
+    " --E 0.01 --V0 0.018 --a 10",
+)
+
 
 def float_flags(command):
     """The options of a subcommand that take a float."""
@@ -85,6 +92,8 @@ def cases(pot):
         first, second = rng.sample(flags[index], 2)
         yield with_values(bases[index], {first: rng.choice(EXTREMES),
                                          second: rng.choice(EXTREMES)})
+    for call in EXTRA_CALLS:
+        yield call.split()
 
 
 def run(argv):
@@ -151,8 +160,9 @@ def test_extremes_and_pairs_end_cleanly(tmp_path):
     assert failures == []
 
 
-# Potential files that are not plain LF-terminated UTF-8 text, or hold
-# no breakpoint.
+# Potential files that are not plain LF-terminated UTF-8 text, hold no
+# breakpoint, hold a value that is not finite or breakpoints that do not
+# increase, or whose incident coefficient cancels to zero.
 ODD_FILES = {
     "invalid-utf8": BARRIER_FILE.encode().replace(b"0.018", b"\xff0.018"),
     "nul-byte": BARRIER_FILE.encode().replace(b"0.018", b"0.0\x0018"),
@@ -160,6 +170,12 @@ ODD_FILES = {
     "crlf": BARRIER_FILE.replace("\n", "\r\n").encode(),
     "empty": b"",
     "comment-only": b"# no breakpoints\n\n",
+    "nan-height": BARRIER_FILE.replace("0.018", "nan").encode(),
+    "inf-height": BARRIER_FILE.replace("0.018", "inf").encode(),
+    "overflowing-height": BARRIER_FILE.replace("0.018", "1e999").encode(),
+    "decreasing": BARRIER_FILE.replace("20.0", "5.0").encode(),
+    # a barrier 1e-300 wide and 1e40 high, then a free region
+    "thin": b"breakpoint 0\nheight 1e40\nbreakpoint 1e-300\nheight 0\nbreakpoint 3\n",
 }
 
 

@@ -524,13 +524,13 @@ def test_clock_sim_solves_each_distinct_shift_once_as_lanes(monkeypatch, capsys)
     # batch, 1001 shifts, and no level runs the scalar sweep: only
     # clock_times' two solves for the t_perturbative column do
     batches = []
-    lanes = rotor._lanes
+    lanes = scattering._lanes
 
     def counting(*args):
         batches.append(len(args[5]))
         return lanes(*args)
 
-    monkeypatch.setattr(rotor, "_lanes", counting)
+    monkeypatch.setattr(scattering, "_lanes", counting)
     sweeps = count_sweeps(monkeypatch)
     argv = ("clock-sim --N 401 --tau 4000 --halvings 3"
             " --E 0.01 --V0 0.018 --a 10 --d 10").split()

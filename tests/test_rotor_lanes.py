@@ -50,7 +50,7 @@ def _bits(value):
 def _levels(levels, shifts, lanes_from):
     """levels(shifts) with batches of at least lanes_from shifts taken as
     lanes."""
-    with mock.patch.object(rotor, "_LANE_BATCH_MIN", lanes_from):
+    with mock.patch.object(scattering, "_LANE_BATCH_MIN", lanes_from):
         return levels(shifts)
 
 
@@ -128,7 +128,7 @@ def level_cases(draw):
 def test_lanes_equal_the_scalar_level(case):
     potential, region, energy, units, fractions, specials = case
     try:
-        bound, levels = rotor._level_solver(potential, region, energy, units)
+        bound, levels = scattering._shifted_solver(potential, region, energy, units)
     except TunnelClockError:
         return
     shifts = [fraction * bound for fraction in fractions] + specials
@@ -149,7 +149,7 @@ def _series_outcome(lanes_from, *args):
         read.append(None)
         return reading(*call)
 
-    with mock.patch.object(rotor, "_LANE_BATCH_MIN", lanes_from), \
+    with mock.patch.object(scattering, "_LANE_BATCH_MIN", lanes_from), \
             mock.patch.object(rotor, "_reading", counting), \
             warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -171,7 +171,7 @@ def test_series_raises_where_the_scalar_loop_raises(problem, n, strength, halvin
         first = ClockRotor(n, ONTO_E_TAU)
     else:
         try:
-            bound = rotor._level_solver(potential, region, energy, units)[0]
+            bound = scattering._shifted_solver(potential, region, energy, units)[0]
             # row 0's largest shift is this multiple of the energy margin
             j = (n - 1) // 2
             first = ClockRotor(n, j * units.hbar * math.tau / (n * strength * bound))
@@ -191,7 +191,7 @@ def test_the_onto_e_series_raises_at_row_one():
 def test_opaque_lanes_fall_back_where_the_sweep_rescales():
     # both 1150-wide barriers together grow the wave past the rescale
     # limit for 362 of row 0's 401 levels; each of those runs the sweep
-    _, levels = rotor._level_solver(
+    _, levels = scattering._shifted_solver(
         double_barrier(0.018, 1150.0, 10.0), ClockRegion(0.0, 2310.0), 0.01, UnitsConfig())
     first = ClockRotor(401, 4000.0)
     shifts = [float(m) * first.omega for m in first.levels.tolist()]
@@ -224,7 +224,7 @@ def _clock_sim(argv, capsys):
 
 @pytest.mark.parametrize("command", CLOCK_SIM_COMMANDS)
 def test_clock_sim_output_does_not_depend_on_the_lane_threshold(monkeypatch, capsys, command):
-    monkeypatch.setattr(rotor, "_LANE_BATCH_MIN", NO_LANES)
+    monkeypatch.setattr(scattering, "_LANE_BATCH_MIN", NO_LANES)
     scalar = _clock_sim(command.split(), capsys)
-    monkeypatch.setattr(rotor, "_LANE_BATCH_MIN", ALL_LANES)
+    monkeypatch.setattr(scattering, "_LANE_BATCH_MIN", ALL_LANES)
     assert _clock_sim(command.split(), capsys) == scalar

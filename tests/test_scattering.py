@@ -529,3 +529,18 @@ def test_windowed_integrals_equal_the_full_sum():
         assert dwell_time(sol, region).hex() == dwell.hex()
         assert _hex(overlap_integrals(sol, region)) == _hex((psi2, psichi))
     assert folds > 0 and rescales > 0
+
+
+def test_a_vanishing_incident_coefficient_is_a_numerical_failure():
+    # matching at the edge of a barrier 1e-300 wide and 1e40 high cancels
+    # the incident coefficient to exactly zero
+    thin = PiecewiseConstantPotential((0.0, 1e-300, 3.0), (1e40, 0.0))
+    message = "the incident coefficient cancels to zero; T and R are undefined"
+    with pytest.raises(TunnelClockError) as caught:
+        solve(thin, 0.01)
+    assert type(caught.value) is TunnelClockError and str(caught.value) == message
+    # the lanes mark the zero divisor and give each shift the scalar error
+    _, levels = scattering._shifted_solver(thin, ClockRegion(0.0, 3.0), 0.01, UnitsConfig())
+    for count in (3, scattering._LANE_BATCH_MIN):
+        results = levels([1e-6 * m for m in range(count)])
+        assert [(type(r), str(r)) for r in results] == [(TunnelClockError, message)] * count
