@@ -25,7 +25,6 @@ dozen numpy passes over all its cells:
 from __future__ import annotations
 
 import itertools
-import operator
 
 import numpy as np
 
@@ -53,27 +52,22 @@ def _powers() -> np.ndarray:
     its two halves, and a remainder that brings their sum within 2^-104
     of the power.
 
-    A power 10^k >= 1 is the double nearest the exact integer, with the
-    double nearest its exact remainder. A power 10^-k is q = 1 / 10^k
-    rounded, with the remainder (1 - q 10^k) / 10^k, where the product
-    of q and the double nearest 10^k is exact (Dekker) and the remainder
-    of 10^k counts too.
+    Both come from exact integers, since int / int rounds correctly: the
+    double is 10^k / 1 or 1 / 10^k rounded, and the remainder is its
+    exact distance n/m - p/q from the power n/m, rounded, with p/q the
+    double's own ratio.
     """
-    powers = list(itertools.accumulate(itertools.repeat(10, 16 - _LOW), operator.mul, initial=1))
-    near = [float(power) for power in powers]
-    rest = np.array([float(power - int(f)) for power, f in zip(powers, near)])
+    near, rest = [], []
+    for k in range(16 - _LOW, 15 - _HIGH, -1):
+        n, m = (10**k, 1) if k >= 0 else (1, 10**-k)
+        near.append(n / m)
+        p, q = near[-1].as_integer_ratio()
+        rest.append((n * q - p * m) / (m * q))
     near = np.array(near)
-    ten, ten_rest = near[1:_HIGH - 15], rest[1:_HIGH - 15]
-    small = 1 / ten
-    product = small * ten
-    error = _error(product, _split(small), _split(ten))
-    small_rest = ((1 - product) - error - small * ten_rest) / ten
-    near = np.concatenate([near[::-1], small])
     # Split the mantissas: 134217729 times a power above 1e300 overflows.
     mantissa, exponent = np.frexp(near)
     hi, lo = _split(mantissa)
-    return np.array([near, np.ldexp(hi, exponent), np.ldexp(lo, exponent),
-                     np.concatenate([rest[::-1], small_rest])])
+    return np.array([near, np.ldexp(hi, exponent), np.ldexp(lo, exponent), rest])
 
 
 _POWERS = _powers()

@@ -9,13 +9,14 @@ and accurate deep into the opaque regime where the raw auxiliaries would
 overflow (2qa of a few hundred and beyond).
 
 The formulas run over float64 arrays, one element per parameter set:
-``grid`` evaluates a whole sweep in one pass, and ``times``,
-``perturbed_amplitude`` and ``near_resonance`` run the same code on
-arrays of length one. The arrays round like scalar CPython arithmetic
-(see ``_arith``), so each element equals, bit for bit, what that
-parameter set alone gives, and the 17-digit CSV does not depend on how
-many points are evaluated at once. Where the scalar arithmetic would
-raise, the set is marked in a mask instead and its values are NaN.
+``grid`` evaluates a whole sweep in one pass, and ``perturbed_amplitude``
+runs the same code on arrays of length one. The arrays round like scalar
+CPython arithmetic (see ``_arith``), so each element equals, bit for bit,
+what that parameter set alone gives, and the 17-digit CSV does not depend
+on how many points are evaluated at once. Where the scalar arithmetic
+would raise, the set is marked in a mask instead and its values are NaN.
+``times`` and ``near_resonance`` read ``grid`` at their one set, so they
+raise exactly where it marks that set, as the CLI does.
 """
 
 from __future__ import annotations
@@ -128,10 +129,11 @@ class DoubleBarrierTimes:
 class DoubleBarrierGrid:
     """Closed forms over a grid of parameter sets, one element per set.
 
-    ok is False where the set leaves the tunneling regime, where times,
-    perturbed_amplitude, abs(amplitude) ** 2 or near_resonance would
-    raise for it, or where a time is not finite. The times and trans_prob
-    are NaN there, and proximity is NaN outside the tunneling regime.
+    ok is False where the set leaves the tunneling regime, where the
+    scalar times, amplitude, abs(amplitude) ** 2 or proximity would raise
+    for it, or where a time is not finite; times raises exactly there.
+    The times and trans_prob are NaN there. proximity is NaN outside the
+    tunneling regime and where it is undefined; near_resonance raises there.
     """
 
     t_whole: np.ndarray
@@ -350,7 +352,7 @@ def grid(V0, a, d, E, units: UnitsConfig = NATURAL_UNITS) -> DoubleBarrierGrid:
     parameter set of a grid.
 
     V0, a, d and E are floats or arrays of one length; each element of the
-    result equals the point functions at that set bit for bit, and a set
+    result equals the scalar formulas at that set bit for bit, and a set
     where they raise (out of the tunneling regime, or out of the float
     range) is marked in ok instead, with NaN values.
     """
@@ -403,24 +405,24 @@ def perturbed_amplitude(params: DoubleBarrierParams, coupling: float = 0.0) -> c
 
 
 def times(params: DoubleBarrierParams) -> DoubleBarrierTimes:
-    """All closed-form clock times for the double barrier.
+    """All closed-form clock times for the double barrier: grid's times at
+    the set, and the wide-barrier form of t_between.
 
     Every ratio is formed from e^{-2qa}-scaled auxiliaries, so the common
     growth factor cancels exactly and the times stay accurate for wide
     barriers. t_whole = t_between + t_barriers holds identically.
 
-    Raises InvalidParameterError where the times leave the float range:
-    barriers so tall that the auxiliaries overflow, energies so small that
-    their denominator vanishes, or wavenumbers that are not finite.
+    Raises InvalidParameterError exactly where grid marks the set, as the
+    CLI does: where the times leave the float range, or the transmission
+    probability or the proximity would raise.
     """
+    g = grid(params.V0, params.a, params.d, params.E, params.units)
+    if not g.ok[0]:
+        raise params.float_range_error()
     k, q, a, d = _arrays(params.k, params.q, params.a, params.d)
-    bad = np.zeros(1, bool)
     with np.errstate(all="ignore"):
-        t = _terms(k, q, a, d, bad)
-        values = _times(k, q, a, d, params.units, t, bad)
-        if bad[0]:
-            raise params.float_range_error()
-        values += (_asymptotic(k, q, d, params.units, t),)
+        asymptotic = _asymptotic(k, q, d, params.units, _terms(k, q, a, d, np.zeros(1, bool)))
+    values = (g.t_whole, g.t_between, g.t_barriers, g.t_opaque, asymptotic)
     return DoubleBarrierTimes(*(float(v[0]) for v in values))
 
 
@@ -433,15 +435,12 @@ def opaque_limit_gap(params: DoubleBarrierParams) -> float:
 def near_resonance(params: DoubleBarrierParams) -> bool:
     """True when the spacing sits close enough to a transmission resonance
     that d-comparisons across different barrier widths are dominated by
-    the peaks rather than the plateaus: its proximity is below
-    NEAR_RESONANCE_CUTOFF."""
-    k, q, d = _arrays(params.k, params.q, params.d)
-    bad = np.zeros(1, bool)
-    with np.errstate(all="ignore"):
-        proximity = _proximity(k, q, d, bad)
-    if bad[0]:
+    the peaks rather than the plateaus: grid's proximity at the set is
+    below NEAR_RESONANCE_CUTOFF. Raises where that proximity is NaN."""
+    proximity = float(grid(params.V0, params.a, params.d, params.E, params.units).proximity[0])
+    if math.isnan(proximity):
         raise params.float_range_error("proximity values")
-    return float(proximity[0]) < NEAR_RESONANCE_CUTOFF
+    return proximity < NEAR_RESONANCE_CUTOFF
 
 
 def asymptotic_agreement(params: DoubleBarrierParams) -> float:

@@ -154,10 +154,13 @@ class PointerReading:
 class MeasurementResult:
     """Pointer readings per scattering channel with channel weights.
 
-    reflected is None when the reflected channel carries no weight at all.
-    In practice even a free potential reflects a little under measurement:
-    every level m != 0 scatters off its own shifted strip, so the channel
-    only vanishes when all those amplitudes underflow together.
+    reflected is None when the reflected channel carries no weight at all,
+    or when its angular density has no mean. In practice even a free
+    potential reflects a little under measurement: every level m != 0
+    scatters off its own shifted strip, so the channel only vanishes when
+    all those amplitudes underflow together. Level 0 of a free region
+    reflects exactly nothing, though, so with N = 3 the first moment of
+    (R_-1, 0, R_1) is exactly zero and the density is uniform.
     """
 
     transmitted: PointerReading
@@ -292,7 +295,10 @@ def _reading(
     t_reading = read_pointer(rotor, ClockState(transmitted / math.sqrt(t_weight)))
     r_reading = None
     if r_weight > _WEIGHT_FLOOR:
-        r_reading = read_pointer(rotor, ClockState(reflected / math.sqrt(r_weight)))
+        try:
+            r_reading = read_pointer(rotor, ClockState(reflected / math.sqrt(r_weight)))
+        except UndefinedReadingError:
+            pass
     return MeasurementResult(transmitted=t_reading, reflected=r_reading,
                              transmitted_weight=t_weight, reflected_weight=r_weight)
 

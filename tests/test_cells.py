@@ -6,6 +6,7 @@ routes (the digit pass or the '%.17g' fallback) made it.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -53,6 +54,16 @@ def test_every_power_of_ten_and_its_neighbours():
     values = with_neighbours([float(f"1e{k}") for k in range(-308, 309)])
     assert cells(values) == expected(values)
     assert cells(np.negative(values)) == expected(np.negative(values))
+
+
+def test_power_table_holds_each_power_to_2_to_the_minus_104():
+    # in exact arithmetic: each column's double plus its remainder, and
+    # the double's two halves
+    near, hi, lo, rest = _cells._POWERS
+    for column, D in enumerate(range(_cells._LOW, _cells._HIGH + 1)):
+        power = Fraction(10) ** (16 - D)
+        assert abs(Fraction(near[column]) + Fraction(rest[column]) - power) <= power / 2**104, D
+        assert Fraction(hi[column]) + Fraction(lo[column]) == Fraction(near[column]), D
 
 
 @pytest.mark.parametrize("edge", [1e16, 1e17, 1e-4, 1e-5, 2.0**53, 0.1, 1.0, 10.0])

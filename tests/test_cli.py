@@ -692,6 +692,22 @@ def test_clock_sim_potential_file_region_defaults(tmp_path):
     assert rows[0][-1] == "0"
 
 
+def test_clock_sim_reads_past_a_reflected_density_with_no_mean(tmp_path):
+    # with N = 3 the reflected density of a free region is uniform; the
+    # rows print only the transmitted reading, so they read
+    pot_file = tmp_path / "free.txt"
+    pot_file.write_text("breakpoint 0\nheight 0\nbreakpoint 10\n", encoding="utf-8")
+    argv = f"clock-sim --potential {pot_file} --E 0.01 --N 3 --tau 1e6 --halvings 2"
+    code, text = run_to_file(tmp_path, argv.split())
+    assert code == 0
+    header, rows = parse_csv(text)
+    assert [row[-1] for row in rows] == ["0", "0", "0"]
+    for row in rows:
+        row = dict(zip(header, row))
+        assert as_float(row["t_read"]) == pytest.approx(as_float(row["t_perturbative"]),
+                                                        rel=1e-9)
+
+
 def test_clock_sim_potential_without_regions_needs_the_clock_region(tmp_path, capsys):
     # one breakpoint gives support (0, 0), which cannot be a default region
     pot_file = tmp_path / "point.txt"

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tunnelclock import closedform
+from tunnelclock.cli import main
 from tunnelclock.closedform import (
     NEAR_RESONANCE_CUTOFF,
     DoubleBarrierParams,
@@ -72,6 +73,15 @@ def test_parameter_validation():
 def test_times_beyond_float_range_rejected(params):
     with pytest.raises(InvalidParameterError, match="float range"):
         times(DoubleBarrierParams(**params))
+
+
+def test_times_refuses_where_the_cli_does(capsys):
+    # the times underflow to zero here, and times used to return them
+    point = dict(E=1e-87, V0=1.0, a=1e-161, d=1e38)
+    with pytest.raises(InvalidParameterError) as raised:
+        times(DoubleBarrierParams(**point))
+    assert main(["times", *(f"--{key}={value!r}" for key, value in point.items())]) == 2
+    assert capsys.readouterr().err == f"tunnelclock: {raised.value}\n"
 
 
 def test_amplitude_matches_engine():

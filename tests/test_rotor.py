@@ -239,6 +239,15 @@ def test_free_time_of_flight():
     assert isinstance(result.transmitted, PointerReading)
 
 
+def test_reflected_density_with_no_mean_reads_none():
+    # level 0 of a free region reflects exactly nothing, so with N = 3 the
+    # reflected amplitudes (R_-1, 0, R_1) have a first moment of exactly 0
+    free = PiecewiseConstantPotential((0.0, 10.0), (0.0,))
+    result = measurement_simulation(free, ClockRegion(0.0, 10.0), 0.01, ClockRotor(3, 1e6))
+    assert result.reflected is None and result.reflected_weight > 0.0
+    assert result.transmitted.t_read == pytest.approx(10.0 / math.sqrt(0.02), rel=1e-8)
+
+
 def test_strong_coupling_warns_but_stays_accurate():
     with pytest.warns(CouplingWarning):
         result = measurement_simulation(
