@@ -1,5 +1,6 @@
 """float64 arrays that round like CPython's scalar float and complex
-arithmetic, one element per independent scalar computation.
+arithmetic, one element per independent scalar computation; an operand
+that many elements share may be one element long, and is computed once.
 
 closedform evaluates a sweep of parameter sets and scattering a batch
 of shifted potentials this way. Each element equals, bit for bit, what plain
@@ -20,7 +21,8 @@ so results do not depend on how many are evaluated at once:
   rounds differently.
 - Where the scalar arithmetic raises (a square that overflows, an
   exponential out of range, a zero divisor), the element is marked in a
-  bad mask instead. Callers run the arithmetic with numpy's warnings off.
+  bad mask instead, every element that the failing operand broadcasts to.
+  Callers run the arithmetic with numpy's warnings off.
 """
 
 from __future__ import annotations
@@ -96,12 +98,14 @@ def _cexp(z, bad: np.ndarray):
     cos[turning] = _each(math.cos, im[turning])
     sin[turning] = _each(math.sin, im[turning])
     re, im = scale * cos, scale * sin
+    failed = np.zeros(plain.shape, bool)
     for i in np.flatnonzero(~plain):
         try:
             w = cmath.exp(complex(z[0][i], z[1][i]))
             re[i], im[i] = w.real, w.imag
         except (ValueError, OverflowError):
-            bad[i] = True
+            failed[i] = True
+    bad |= failed
     return re, im
 
 

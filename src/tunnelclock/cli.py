@@ -4,7 +4,8 @@ All data output is CSV: comment lines prefixed '#' carry the parameter
 set and the units convention, then one fixed header line, then rows.
 Floats are printed with 17 significant digits so values round-trip
 exactly; reruns with identical flags produce byte-identical output.
-Undefined entries are the literal token NA and set the row's flag column.
+Undefined entries are the literal token NA and set the row's flag column,
+as do clock times that fail the dwell decomposition check.
 
 Exit codes: 0 success (flagged rows included), 2 argument/validation
 problems, 1 numerical failure, out of memory or a failed write.
@@ -42,6 +43,8 @@ if TYPE_CHECKING:
 
 __all__ = ["main", "build_parser", "load_potential_file"]
 
+# Largest dwell decomposition residual that check passes; times
+# --potential and clock-sim flag a row whose clock times exceed it.
 RESIDUAL_TOLERANCE = 1e-6
 
 POTENTIAL_FILE_HELP = """\
@@ -68,16 +71,17 @@ def _fmt(value: float | None) -> str:
     return f"{value:.17g}"
 
 
-def _rows(columns: list) -> list[str]:
+def _rows(columns: list, flagged: bool) -> list[str]:
     """CSV data rows, one per element of the list columns.
 
     A list column holds one float per row; any other column is the one
     float or None that every row shares. Cells are _fmt's; the flag
-    column reads 1 where the row has an NA cell.
+    column reads 1 on every row if flagged, else where the row has an NA
+    cell.
     """
     count = max((len(c) for c in columns if isinstance(c, list)), default=1)
     cells = (map(_fmt, c) if isinstance(c, list) else [_fmt(c)] * count for c in columns)
-    return [",".join(row) + (",1" if "NA" in row else ",0") for row in zip(*cells)]
+    return [",".join(row) + (",1" if flagged or "NA" in row else ",0") for row in zip(*cells)]
 
 
 def _head(command: str, units: UnitsConfig, params: str, header: str) -> list[str]:
@@ -228,7 +232,8 @@ def cmd_times(args: argparse.Namespace, units: UnitsConfig) -> tuple[list[list[s
             "E,z1,z2,t_transmitted,t_reflected,t_dwell,trans_prob,refl_prob,flag",
         )
         lines += _rows([args.E, args.z1, args.z2, ct.transmitted, ct.reflected,
-                        ct.dwell, ct.transmission_prob, ct.reflection_prob])
+                        ct.dwell, ct.transmission_prob, ct.reflection_prob],
+                       not ct.decomposition_residual <= RESIDUAL_TOLERANCE)
     else:
         from . import closedform
 
@@ -250,10 +255,12 @@ def cmd_times(args: argparse.Namespace, units: UnitsConfig) -> tuple[list[list[s
 _AXES = ("d", "a", "E", "V0")
 
 # Grid points per array pass of a sweep, and rows per written block. A
-# pass holds some 60 arrays of this length (0.35 MB at 1024 points); the
-# cell formatter then holds the block's cells as 8-byte words, 470 bytes
-# a sweep row, and up to 140 bytes more for each of a row's five values
-# (1.2 MB in all at 1024 rows). So blocks bound its memory; every point
+# pass holds at most some 41 arrays of this length at once (0.34 MB at
+# 1024 points, in an E sweep; 28 to 34 in a sweep of d, a or V0, whose
+# fixed parameters give one-element intermediates); the cell formatter
+# then holds the block's cells as 8-byte words, 470 bytes a sweep row,
+# and up to 140 bytes more for each of a row's five values (1.2 MB in
+# all at 1024 rows). So blocks bound its memory; every point
 # is computed on its own, so any block size gives the same rows.
 SWEEP_BLOCK_ROWS = 1024
 
@@ -370,7 +377,7 @@ def cmd_clock_sim(args: argparse.Namespace, units: UnitsConfig) -> tuple[list[li
     z2 = args.z2 if args.z2 is not None else hi
     region = ClockRegion(z1, z2)
 
-    reference = clock_times(potential, region, args.E, units).transmitted
+    reference = clock_times(potential, region, args.E, units)
 
     first = ClockRotor(N=args.N, tau=args.tau)
     with warnings.catch_warnings():
@@ -391,7 +398,8 @@ def cmd_clock_sim(args: argparse.Namespace, units: UnitsConfig) -> tuple[list[li
         for rotor, result in series
     ]
     omega, tau, t_read, spread, weight = map(list, zip(*readings))
-    lines += _rows([omega, tau, t_read, spread, reference, weight])
+    lines += _rows([omega, tau, t_read, spread, reference.transmitted, weight],
+                   not reference.decomposition_residual <= RESIDUAL_TOLERANCE)
     return [lines], 0
 
 

@@ -8,9 +8,11 @@ clock times are invariant under this common scaling, so they stay finite
 and accurate deep into the opaque regime where the raw auxiliaries would
 overflow (2qa of a few hundred and beyond).
 
-The formulas run over float64 arrays, one element per parameter set:
-``grid`` evaluates a whole sweep in one pass, and ``perturbed_amplitude``
-runs the same code on arrays of length one. The arrays round like scalar
+The formulas run over float64 arrays: ``grid`` evaluates a whole sweep in
+one pass, each intermediate in the shape of the parameters it depends on,
+so what a float parameter determines is evaluated once and only the
+outputs are broadcast; ``perturbed_amplitude`` runs the same code on
+arrays of length one. The arrays round like scalar
 CPython arithmetic (see ``_arith``), so each element equals, bit for bit,
 what that parameter set alone gives, and the 17-digit CSV does not depend
 on how many points are evaluated at once. Where the scalar arithmetic
@@ -127,7 +129,8 @@ class DoubleBarrierTimes:
 
 @dataclass(frozen=True)
 class DoubleBarrierGrid:
-    """Closed forms over a grid of parameter sets, one element per set.
+    """Closed forms over a grid of parameter sets, one element per set in
+    every field, whichever parameters were given as one float.
 
     ok is False where the set leaves the tunneling regime, where the
     scalar times, amplitude, abs(amplitude) ** 2 or proximity would raise
@@ -156,9 +159,9 @@ class _Terms(NamedTuple):
 
 
 def _arrays(*values) -> list[np.ndarray]:
-    """The values as float64 arrays of one common length (at least 1)."""
-    arrays = np.broadcast_arrays(*(np.asarray(v, float) for v in values))
-    return [np.atleast_1d(v) for v in arrays]
+    """The values as float64 arrays of at least one element, each in its
+    own shape; the arithmetic broadcasts them."""
+    return [np.atleast_1d(np.asarray(v, float)) for v in values]
 
 
 def _each_finite(function, x: np.ndarray, bad: np.ndarray) -> np.ndarray:
@@ -179,13 +182,15 @@ def _square(x: np.ndarray, bad: np.ndarray) -> np.ndarray:
     Below 1e154 the square cannot overflow, so only the elements above
     take the checked per-element path.
     """
-    large = ~(np.abs(x) < 1e154)
+    large = np.abs(x) >= 1e154
     y = _each(_SQUARE, np.where(large, 0.0, x))
+    failed = np.zeros(x.shape, bool)
     for i in np.flatnonzero(large):
         try:
             y[i] = float(x[i]) ** 2
         except OverflowError:
-            bad[i] = True
+            failed[i] = True
+    bad |= failed
     return y
 
 
@@ -354,16 +359,17 @@ def grid(V0, a, d, E, units: UnitsConfig = NATURAL_UNITS) -> DoubleBarrierGrid:
     V0, a, d and E are floats or arrays of one length; each element of the
     result equals the scalar formulas at that set bit for bit, and a set
     where they raise (out of the tunneling regime, or out of the float
-    range) is marked in ok instead, with NaN values.
+    range) is marked in ok instead, with NaN values. What the floats alone
+    determine is evaluated once; every field is broadcast to the grid.
     """
     V0, a, d, E = _arrays(V0, a, d, E)
     m, hbar = units.mass, units.hbar
     with np.errstate(all="ignore"):
         regime = (np.isfinite(V0) & np.isfinite(a) & np.isfinite(d) & np.isfinite(E)
                   & (a > 0) & (d > 0) & (0 < E) & (E < V0))
-        # Sets outside the regime are evaluated at a stand-in and masked.
-        V0, E = np.where(regime, V0, 2.0), np.where(regime, E, 1.0)
-        a, d = np.where(regime, a, 1.0), np.where(regime, d, 1.0)
+        # A value not finite and positive is NaN from here on, which the math
+        # calls pass without raising; sets outside the regime are masked.
+        V0, a, d, E = (np.where(np.isfinite(v) & (v > 0), v, np.nan) for v in (V0, a, d, E))
         bad = ~regime
         k = np.sqrt(2.0 * m * E) / hbar
         q = np.sqrt(2.0 * m * (V0 - E)) / hbar

@@ -193,6 +193,56 @@ def test_times_generic_free_potential_na_flag(tmp_path):
     assert as_float(row["t_transmitted"]) == pytest.approx(5.0, rel=1e-9)
 
 
+# double_barrier(0.018, 10, 10) as a file: near E = 0.018 the sweep's
+# small-wavenumber coefficients cancel, and the clock times no longer add
+# up to the dwell time (decomposition residual 3.2e-6 at 1 - E/0.018 =
+# 1e-10, 2.9e-4 at 1e-12 and 1.2e-2 at 1e-14)
+EQUAL_BARRIERS_FILE = """\
+breakpoint 0
+height 0.018
+breakpoint 10
+height 0
+breakpoint 20
+height 0.018
+breakpoint 30
+"""
+
+
+@pytest.mark.parametrize("below", [1e-12, 1e-14])
+def test_times_generic_residual_flag(tmp_path, below):
+    pot_file = tmp_path / "pot.txt"
+    pot_file.write_text(EQUAL_BARRIERS_FILE, encoding="utf-8")
+    energy = 0.018 * (1.0 - below)
+    code, text = run_to_file(
+        tmp_path,
+        ["times", "--potential", str(pot_file), "--E", repr(energy), "--z1", "0", "--z2", "30"],
+    )
+    assert code == 0
+    header, rows = parse_csv(text)
+    row = dict(zip(header, rows[0]))
+    # every cell is a number: the flag is the residual's
+    assert "NA" not in row.values()
+    assert row["flag"] == "1"
+
+
+def test_clock_sim_residual_flag(tmp_path):
+    pot_file = tmp_path / "pot.txt"
+    pot_file.write_text(EQUAL_BARRIERS_FILE, encoding="utf-8")
+    energy = 0.018 * (1.0 - 1e-10)
+    code, text = run_to_file(
+        tmp_path,
+        ["clock-sim", "--potential", str(pot_file), "--N", "21", "--tau", "1e14",
+         "--halvings", "1", "--E", repr(energy)],
+    )
+    assert code == 0
+    header, rows = parse_csv(text)
+    assert len(rows) == 2
+    for row in rows:
+        row = dict(zip(header, row))
+        assert "NA" not in row.values()
+        assert row["flag"] == "1"
+
+
 def test_generic_mode_needs_region(capsys):
     code = main(["times", "--potential", "nope.txt", "--E", "0.5"])
     assert code == 2

@@ -11,9 +11,11 @@ import cmath
 import math
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from tunnelclock import cli
+from tunnelclock import cli, closedform
+from tunnelclock._arith import _cexp
 from tunnelclock.closedform import (
     DoubleBarrierParams,
     NEAR_RESONANCE_CUTOFF,
@@ -369,3 +371,61 @@ def test_sweep_rows_equal_point_times_rows(capsys):
         point_row = capsys.readouterr().out.splitlines()[-1].split(",")
         assert point_row == row[1:]
 
+
+
+# ---------------------------------------------------------------------------
+# Late broadcasting: a parameter given as one float is evaluated once.
+
+GRID_FIELDS = ("t_whole", "t_between", "t_barriers", "t_opaque", "trans_prob",
+               "proximity", "ok")
+
+
+@settings(max_examples=300, deadline=None)
+@given(points=st.lists(parameter_sets(), min_size=1, max_size=12), units=units_strategy,
+       fixed=st.sets(st.integers(0, 3), max_size=3))
+def test_float_parameters_give_the_broadcast_grid(points, units, fixed):
+    # each parameter in fixed is the first point's value, passed once as a
+    # float to one call and repeated on every row of the other
+    columns = [np.array(column) for column in zip(*points)]
+    for index in fixed:
+        columns[index] = np.full(len(points), columns[index][0])
+    units = UnitsConfig(*units)
+    scalars = [float(c[0]) if i in fixed else c for i, c in enumerate(columns)]
+    late, full = grid(*scalars, units), grid(*columns, units)
+    for name in GRID_FIELDS:
+        got, expected = getattr(late, name), getattr(full, name)
+        assert got.shape == expected.shape == (len(points),), name
+        assert got.tobytes() == expected.tobytes(), (name, got, expected)
+
+
+def test_one_element_failures_mark_every_row():
+    bad = np.zeros(3, bool)
+    closedform._square(np.array([1e200]), bad)
+    assert bad.tolist() == [True] * 3
+    bad = np.zeros(3, bool)
+    _cexp((np.array([1e300]), np.array([0.0])), bad)
+    assert bad.tolist() == [True] * 3
+
+
+@pytest.mark.parametrize("axis, values, calls", [
+    ("d", np.linspace(1.0, 100.0, 1000), 4005),
+    ("a", np.linspace(1.0, 30.0, 1000), 3006),
+    ("V0", np.linspace(0.011, 0.05, 1000), 7002),
+    ("E", np.linspace(0.001, 0.017, 1000), 9000),
+])
+def test_fixed_parameters_are_evaluated_once(monkeypatch, axis, values, calls):
+    # per-element math calls: a d sweep takes e^{-4qa}, e^{-2qa}, the two
+    # barrier squares and atan2 once, and sin pd, cos pd, the proximity's
+    # sine and trans_prob's square once per row
+    count = 0
+    each = closedform._each
+
+    def counting(function, *arrays):
+        nonlocal count
+        count += max(array.size for array in arrays)
+        return each(function, *arrays)
+
+    monkeypatch.setattr(closedform, "_each", counting)
+    rows = grid(**{"V0": 0.018, "a": 10.0, "d": 10.0, "E": 0.01, axis: values})
+    assert rows.ok.shape == (1000,)
+    assert count == calls
