@@ -44,7 +44,8 @@ if TYPE_CHECKING:
 __all__ = ["main", "build_parser", "load_potential_file"]
 
 # Largest dwell decomposition residual that check passes; times
-# --potential and clock-sim flag a row whose clock times exceed it.
+# --potential and clock-sim flag a row whose clock times exceed it, and
+# clock-sim a row whose shift_rounding exceeds it.
 RESIDUAL_TOLERANCE = 1e-6
 
 POTENTIAL_FILE_HELP = """\
@@ -71,17 +72,16 @@ def _fmt(value: float | None) -> str:
     return f"{value:.17g}"
 
 
-def _rows(columns: list, flagged: bool) -> list[str]:
-    """CSV data rows, one per element of the list columns.
+def _rows(columns: list, flags: list[bool]) -> list[str]:
+    """CSV data rows, one per flag.
 
     A list column holds one float per row; any other column is the one
     float or None that every row shares. Cells are _fmt's; the flag
-    column reads 1 on every row if flagged, else where the row has an NA
-    cell.
+    column reads 1 where the row's flag is set or the row has an NA cell.
     """
-    count = max((len(c) for c in columns if isinstance(c, list)), default=1)
-    cells = (map(_fmt, c) if isinstance(c, list) else [_fmt(c)] * count for c in columns)
-    return [",".join(row) + (",1" if flagged or "NA" in row else ",0") for row in zip(*cells)]
+    cells = (map(_fmt, c) if isinstance(c, list) else [_fmt(c)] * len(flags) for c in columns)
+    return [",".join(row) + (",1" if flag or "NA" in row else ",0")
+            for row, flag in zip(zip(*cells), flags)]
 
 
 def _head(command: str, units: UnitsConfig, params: str, header: str) -> list[str]:
@@ -233,7 +233,7 @@ def cmd_times(args: argparse.Namespace, units: UnitsConfig) -> tuple[list[list[s
         )
         lines += _rows([args.E, args.z1, args.z2, ct.transmitted, ct.reflected,
                         ct.dwell, ct.transmission_prob, ct.reflection_prob],
-                       not ct.decomposition_residual <= RESIDUAL_TOLERANCE)
+                       [not ct.decomposition_residual <= RESIDUAL_TOLERANCE])
     else:
         from . import closedform
 
@@ -398,8 +398,11 @@ def cmd_clock_sim(args: argparse.Namespace, units: UnitsConfig) -> tuple[list[li
         for rotor, result in series
     ]
     omega, tau, t_read, spread, weight = map(list, zip(*readings))
-    lines += _rows([omega, tau, t_read, spread, reference.transmitted, weight],
-                   not reference.decomposition_residual <= RESIDUAL_TOLERANCE)
+    residual_fails = not reference.decomposition_residual <= RESIDUAL_TOLERANCE
+    flags = [residual_fails or (result is not None
+                                and not result.shift_rounding <= RESIDUAL_TOLERANCE)
+             for _, result in series]
+    lines += _rows([omega, tau, t_read, spread, reference.transmitted, weight], flags)
     return [lines], 0
 
 

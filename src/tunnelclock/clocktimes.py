@@ -14,7 +14,8 @@ from the right (Sokolovski & Baskin, PRA 36, 4604 (1987)). One solve
 gives psi, and scattering.overlap_integrals builds chi from it. Both
 integrals are exact per-region antiderivatives, so t = -hbar Im(dA/dV / A)
 needs no step size. The dwell time comes from the independent density
-integral of |psi|^2, so the weighted-average identity
+integral of |psi|^2, taken in the same walk, so the weighted-average
+identity
 
     t_dwell = |T|^2 t_transmitted + |R|^2 t_reflected
 
@@ -48,7 +49,7 @@ class ClockTimes:
 
     transmitted/reflected are None when the channel probability is below
     PROB_FLOOR (the phase of a vanishing amplitude carries no time).
-    decomposition_residual is |t_dwell - (P_T t_T + P_R t_R)| / t_dwell;
+    decomposition_residual is |t_dwell - (P_T t_T + P_R t_R)| / |t_dwell|;
     a channel below the floor still enters through its weighted term
     P t = (m / hbar k) Re(integral * conj(amplitude)), which stays
     well defined however small the amplitude.
@@ -76,7 +77,7 @@ def clock_times(
     psi = scattering.solve(potential, energy, units)
     trans_prob = abs(psi.transmission) ** 2
     refl_prob = abs(psi.reflection) ** 2
-    psi2, psichi = scattering.overlap_integrals(psi, region)
+    density, psi2, psichi = scattering.overlap_integrals(psi, region)
     # -hbar Im(dA/dV / A) with dA/dV = -(i m / hbar^2 k) * integral.
     inverse_speed = units.mass / (units.hbar * psi.wavenumber)
     t_transmitted = t_reflected = None
@@ -91,14 +92,14 @@ def clock_times(
         weighted += refl_prob * t_reflected
     else:
         weighted += inverse_speed * (psi2 * psi.reflection.conjugate()).real
-    dwell = scattering.dwell_time(psi, region)
+    dwell = inverse_speed * density
     if not all(math.isfinite(t) for t in (t_transmitted, t_reflected, dwell) if t is not None):
         raise InvalidParameterError(
             f"clock times over ({region.z1}, {region.z2}) leave the float range"
             f" at E={energy}"
         )
     # A region in total shadow has zero dwell time; its residual is absolute.
-    residual = abs(dwell - weighted) / dwell if dwell else abs(weighted)
+    residual = abs(dwell - weighted) / abs(dwell) if dwell else abs(weighted)
     return ClockTimes(
         transmitted=t_transmitted,
         reflected=t_reflected,

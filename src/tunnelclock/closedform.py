@@ -30,11 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._arith import _cabs, _cdiv, _cexp, _cmul, _csquare, _each
-from .errors import (
-    InvalidParameterError,
-    InvalidPerturbationError,
-    OpaqueUnderflowError,
-)
+from .errors import InvalidParameterError, TunnelClockError
 from .potentials import NATURAL_UNITS, UnitsConfig
 
 __all__ = [
@@ -391,7 +387,7 @@ def _shifted_wavenumbers(params: DoubleBarrierParams, coupling: float) -> tuple[
     gap = params.E - coupling
     bar = params.V0 + coupling - params.E
     if not (gap > 0 and bar > 0):
-        raise InvalidPerturbationError(
+        raise InvalidParameterError(
             f"coupling {coupling} leaves the tunneling regime "
             f"(need 0 < E - coupling and 0 < V0 + coupling - E)"
         )
@@ -454,9 +450,9 @@ def asymptotic_agreement(params: DoubleBarrierParams) -> float:
 
     Requires qa > 2 (asymptotic regime guard). NaN where the asymptotic
     form is: on a resonance of its denominator, or out of the float range.
-    Raises OpaqueUnderflowError when the
-    regime is so opaque that t_between has decayed below the representable
-    comparison floor.
+    Raises InvalidParameterError where qa <= 2, and TunnelClockError where
+    the regime is so opaque that t_between has decayed below the
+    representable comparison floor.
     """
     if not params.q * params.a > 2.0:
         raise InvalidParameterError(
@@ -464,7 +460,7 @@ def asymptotic_agreement(params: DoubleBarrierParams) -> float:
         )
     t = times(params)
     if math.exp(-2.0 * params.q * params.a) == 0.0 or abs(t.t_between) < 1e-300:
-        raise OpaqueUnderflowError(
+        raise TunnelClockError(
             "between-gap time decayed below the comparable range"
         )
     if math.isnan(t.t_between_asymptotic):

@@ -48,7 +48,7 @@ from .errors import (
     CouplingTooStrongError,
     CouplingWarning,
     InvalidParameterError,
-    OpaqueUnderflowError,
+    TunnelClockError,
     UndefinedReadingError,
 )
 from .potentials import (
@@ -161,12 +161,18 @@ class MeasurementResult:
     all those amplitudes underflow together. Level 0 of a free region
     reflects exactly nothing, though, so with N = 3 the first moment of
     (R_-1, 0, R_1) is exactly zero and the density is uniform.
+
+    shift_rounding is max |(fl(V + s) - V) - s| / |s| over the levels'
+    nonzero shifts s and the heights V inside the clock region: the worst
+    relative rounding of a shift as applied, exact for |s| <= |V|
+    (Dekker's Fast2Sum).
     """
 
     transmitted: PointerReading
     reflected: PointerReading | None
     transmitted_weight: float
     reflected_weight: float
+    shift_rounding: float
 
 
 def basis_state(rotor: ClockRotor, k: int) -> ClockState:
@@ -248,23 +254,35 @@ def _presolved(rows: list[list[float]], bound: float, levels) -> dict:
     return dict(zip(shifts, levels(shifts)))
 
 
+def _heights(potential: PiecewiseConstantPotential, region: ClockRegion) -> np.ndarray:
+    """The distinct heights of the intervals inside the clock region, as
+    a column, less 0.0, which every shift moves exactly."""
+    starts = [region.z1, *(z for z in potential.breakpoints if region.z1 < z < region.z2)]
+    return np.array([*{potential(z) for z in starts} - {0.0}])[:, None]
+
+
+def _shift_rounding(heights: np.ndarray, shifts: list[float]) -> float:
+    """MeasurementResult.shift_rounding of one row, in one array pass."""
+    s = np.array([shift for shift in shifts if shift])
+    return float(np.max(np.abs((heights + s) - heights - s) / np.abs(s), initial=0.0))
+
+
 def _reading(
-    rotor: ClockRotor, shifts: list[float], bound: float, known: dict
-) -> MeasurementResult:
+    rotor: ClockRotor, shifts: list[float], bound: float, known: dict, heights: np.ndarray
+) -> MeasurementResult | None:
     """One reading of the rotor with the level shifts of _shifts, from
     the table of _presolved, which holds every shift of a row within
-    bound. The first level in ascending m whose solve raised raises its
-    exception here.
+    bound, and the _heights the shifts apply to; None where the largest
+    shift reaches bound. The first level in ascending m whose solve raised
+    raises its exception here; every transmitted amplitude underflowing
+    raises TunnelClockError.
 
     Only measurement_simulation and measurement_series call this, so the
     coupling warning points at their caller.
     """
     largest = shifts[-1]
     if largest >= bound:
-        raise CouplingTooStrongError(
-            f"largest level shift j*hbar*omega = {largest} reaches the "
-            f"energy margin {bound}; reduce omega (raise tau) or N"
-        )
+        return None
     if largest > COUPLING_WARNING_FRACTION * bound:
         warnings.warn(
             f"largest level shift {largest} exceeds "
@@ -288,7 +306,7 @@ def _reading(
     r_weight = float(np.sum(np.abs(reflected) ** 2))
 
     if t_weight <= _WEIGHT_FLOOR:
-        raise OpaqueUnderflowError(
+        raise TunnelClockError(
             "transmitted amplitudes underflowed; the pointer state cannot "
             "be renormalized for reading"
         )
@@ -300,7 +318,8 @@ def _reading(
         except UndefinedReadingError:
             pass
     return MeasurementResult(transmitted=t_reading, reflected=r_reading,
-                             transmitted_weight=t_weight, reflected_weight=r_weight)
+                             transmitted_weight=t_weight, reflected_weight=r_weight,
+                             shift_rounding=_shift_rounding(heights, shifts))
 
 
 def measurement_simulation(
@@ -323,7 +342,14 @@ def measurement_simulation(
     """
     bound, levels = scattering._shifted_solver(potential, region, energy, units)
     row = _shifts(rotor, units)
-    return _reading(rotor, row, bound, _presolved([row], bound, levels))
+    known = _presolved([row], bound, levels)
+    result = _reading(rotor, row, bound, known, _heights(potential, region))
+    if result is None:
+        raise CouplingTooStrongError(
+            f"largest level shift j*hbar*omega = {row[-1]} reaches the "
+            f"energy margin {bound}; reduce omega (raise tau) or N"
+        )
+    return result
 
 
 def measurement_series(
@@ -359,13 +385,11 @@ def measurement_series(
         failure = error
     shifted = [_shifts(rotor, units) for rotor in rotors]
     known = _presolved(shifted, bound, levels)
-    rows: list[tuple[ClockRotor, MeasurementResult | None]] = []
+    heights = _heights(potential, region)
+    rows = []
     for rotor, row in zip(rotors, shifted):
-        try:
-            result = _reading(rotor, row, bound, known)
-        except CouplingTooStrongError:
-            result = None
-        rows.append((rotor, result))
+        # a loop, so the coupling warning's stack level reaches the caller
+        rows.append((rotor, _reading(rotor, row, bound, known, heights)))
     if failure is not None:
         raise failure
     return rows

@@ -39,7 +39,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import DegenerateEnergyError, InvalidParameterError, TunnelClockError
+from .errors import InvalidParameterError, TunnelClockError
 from .potentials import (
     NATURAL_UNITS,
     ClockRegion,
@@ -163,12 +163,12 @@ def _local_kappa(energy: float, height: float, units: UnitsConfig) -> complex:
     """Local wavenumber of a region: real where it propagates, +iq where
     it is evanescent. Every local wavenumber is checked here.
 
-    Raises DegenerateEnergyError when the energy exactly equals the height
-    (zero local wavenumber) and InvalidParameterError for a wavenumber that
-    underflows to zero or leaves the float range.
+    Raises InvalidParameterError when the energy exactly equals the height
+    (zero local wavenumber) and for a wavenumber that underflows to zero or
+    leaves the float range.
     """
     if height == energy:
-        raise DegenerateEnergyError(
+        raise InvalidParameterError(
             f"energy {energy} equals a region height; local wavenumber vanishes"
         )
     ksq = 2.0 * units.mass * (energy - height)
@@ -282,10 +282,10 @@ def solve(
 ) -> ScatteringSolution:
     """Scatter a unit left-incident wave of the given energy.
 
-    Raises DegenerateEnergyError when the energy exactly equals a region
-    height (zero local wavenumber) and InvalidParameterError for
-    non-positive energy or a wavenumber that underflows to zero or leaves
-    the float range.
+    Raises InvalidParameterError for non-positive energy, an energy
+    exactly equal to a region height (zero local wavenumber) and a
+    wavenumber that underflows to zero or leaves the float range, and
+    TunnelClockError where the incident coefficient cancels to zero.
     """
     kappas = _kappas(energy, potential.heights, units)
     return _solution(kappas, potential.breakpoints, float(energy), units)
@@ -550,26 +550,30 @@ def _mirrored(rw: RegionWave) -> RegionWave:
 
 def overlap_integrals(
     solution: ScatteringSolution, region: ClockRegion
-) -> tuple[complex, complex]:
-    """Integrals of psi^2 and psi*chi over the region (no conjugates).
+) -> tuple[float, complex, complex]:
+    """Integrals of |psi|^2, psi^2 and psi*chi over the region (the last
+    two without conjugates).
 
     psi is the left-incident solution and chi(z) = mirror(-z) the unit wave
     incident from the right, where mirror solves the mirrored potential by
     one backward sweep over psi's wavenumbers reversed and its breakpoints
     negated and reversed. Region r of psi is region n+1-r of mirror, so the
-    expansions pair up one to one. Only overlapping regions are built.
+    expansions pair up one to one. Only overlapping regions are built, each
+    once; the density sum is dwell_time's, term for term.
     """
     bp = solution.breakpoints
     mirror_bp = tuple(-z for z in reversed(bp))
     mirror = _solution(solution.kappas[::-1], mirror_bp, solution.energy, solution.units)
+    density = 0.0
     psi2 = psichi = 0j
     for r, lo, hi in _overlaps(bp, region):
         rw = solution.wave(r)
         chi = _mirrored(mirror.wave(len(bp) - r))
         terms = _log_terms(rw)
+        density += _density_integral(rw, lo - rw.anchor, hi - rw.anchor)
         psi2 += _product_integral(rw, terms, rw, terms, lo, hi)
         psichi += _product_integral(rw, terms, chi, _log_terms(chi), lo, hi)
-    return psi2, psichi
+    return density, psi2, psichi
 
 
 def dwell_time(solution: ScatteringSolution, region: ClockRegion) -> float:

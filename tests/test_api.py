@@ -8,13 +8,14 @@ library directly, so a rename that breaks either shows here, in the
 tier-1 suite, rather than only when the benchmark runs.
 """
 
+import ast
 import importlib
 import importlib.util
 import pkgutil
 from pathlib import Path
 
 import tunnelclock
-from tunnelclock import cli
+from tunnelclock import cli, errors
 
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
 NOT_REEXPORTED = {"cli", "__main__"}
@@ -45,6 +46,30 @@ def test_every_exported_name_resolves_to_its_module_object():
         for name in module.__all__:
             assert getattr(tunnelclock, name) is getattr(module, name), name
     assert isinstance(tunnelclock.__version__, str)
+
+
+def _called_name(node):
+    """The name a raise or a warn argument refers to: Name, Name(...)."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def test_every_declared_error_is_raised_and_the_warning_warned():
+    raised, warned = set(), set()
+    for path in Path(tunnelclock.__path__[0]).glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                raised.add(_called_name(node.exc))
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "warn"):
+                categories = node.args[1:2] + [k.value for k in node.keywords
+                                               if k.arg == "category"]
+                warned.update(map(_called_name, categories))
+    declared = {name: getattr(errors, name) for name in errors.__all__}
+    exceptions = {name for name, kind in declared.items() if not issubclass(kind, Warning)}
+    assert exceptions <= raised, exceptions - raised
+    assert set(declared) - exceptions == {"CouplingWarning"} <= warned
 
 
 def test_tracing_harness_binds_every_layer_function():

@@ -225,7 +225,10 @@ def test_times_generic_residual_flag(tmp_path, below):
     assert row["flag"] == "1"
 
 
-def test_clock_sim_residual_flag(tmp_path):
+def test_clock_sim_residual_flag(tmp_path, monkeypatch):
+    # so close to a height every shift within the margin rounds by 4.4e-4;
+    # with that check silenced, the flag is the residual's
+    monkeypatch.setattr(rotor, "_shift_rounding", lambda heights, shifts: 0.0)
     pot_file = tmp_path / "pot.txt"
     pot_file.write_text(EQUAL_BARRIERS_FILE, encoding="utf-8")
     energy = 0.018 * (1.0 - 1e-10)
@@ -241,6 +244,22 @@ def test_clock_sim_residual_flag(tmp_path):
         row = dict(zip(header, row))
         assert "NA" not in row.values()
         assert row["flag"] == "1"
+
+
+@pytest.mark.parametrize("tau, flag", [("1e10", "0"), ("1e12", "1")])
+def test_clock_sim_shift_rounding_flag(tmp_path, tau, flag):
+    # the worst relative rounding of a level shift added to 0.018 is
+    # 3.6e-8 at tau 1e10 and 3.8e-6 at 1e12, against the 1e-6 tolerance;
+    # the row's numbers and residual pass at both
+    code, text = run_to_file(
+        tmp_path,
+        ["clock-sim", "--N", "21", "--halvings", "0", "--E", "0.01", "--V0", "0.018",
+         "--a", "10", "--d", "10", "--tau", tau],
+    )
+    assert code == 0
+    header, rows = parse_csv(text)
+    assert len(rows) == 1 and "NA" not in rows[0]
+    assert dict(zip(header, rows[0]))["flag"] == flag
 
 
 def test_generic_mode_needs_region(capsys):

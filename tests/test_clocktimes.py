@@ -11,8 +11,10 @@ from tunnelclock import scattering
 from tunnelclock.clocktimes import PROB_FLOOR, clock_times
 from tunnelclock.closedform import DoubleBarrierParams, times
 from tunnelclock.errors import (
-    DegenerateEnergyError,
+    CouplingTooStrongError,
     InvalidParameterError,
+    TunnelClockError,
+    UndefinedReadingError,
 )
 from tunnelclock.potentials import (
     NATURAL_UNITS,
@@ -123,7 +125,23 @@ def test_times_beyond_float_range_rejected(z1, z2):
 
 
 def test_error_hierarchy():
-    assert issubclass(DegenerateEnergyError, InvalidParameterError)
+    assert issubclass(CouplingTooStrongError, InvalidParameterError)
+    assert issubclass(InvalidParameterError, TunnelClockError)
+    assert issubclass(UndefinedReadingError, TunnelClockError)
+    with pytest.raises(InvalidParameterError,
+                       match="^energy 0.018 equals a region height; local wavenumber vanishes$"):
+        clock_times(BARRIER, WHOLE, 0.018)
+
+
+def test_a_negative_dwell_time_fails_the_residual_check():
+    # 2.8e-16 below the top of a barrier 0.2 wide the sweep's small-kappa
+    # coefficients cancel: the dwell time comes out -5.27 where a 50-digit
+    # transfer matrix gives 1.054. Taken against |t_dwell| the residual
+    # is 1.13, not -1.13, so the row is flagged.
+    thin = PiecewiseConstantPotential((1.1, 1.3), (0.018,))
+    result = clock_times(thin, ClockRegion(1.1, 1.3), 0.017999999999999995)
+    assert result.dwell < 0
+    assert result.decomposition_residual > 1e-6
 
 
 def test_dwell_positive_whole_line_identity():
@@ -194,7 +212,7 @@ def test_one_solve_and_two_sweeps_per_call(monkeypatch):
 
 def test_waves_built_only_over_the_clock_region(monkeypatch):
     # 300 regions, a clock region of 3: each of the 3 is built once for
-    # the dwell time, once for psi^2 and psi*chi, and once mirrored
+    # |psi|^2, psi^2 and psi*chi together, and once mirrored
     potential, _, energy = random_stack(2, 300, 300)
     bp = potential.breakpoints
     built = []
@@ -207,7 +225,7 @@ def test_waves_built_only_over_the_clock_region(monkeypatch):
     monkeypatch.setattr(scattering.ScatteringSolution, "wave", counting)
     result = clock_times(potential, ClockRegion(bp[150], bp[153]), energy)
     assert len(bp) == 301 and result.dwell > 0
-    assert 3 <= len(built) <= 10
+    assert len(built) == 6
 
 
 # Dwell time of BARRIER over WHOLE at the barrier top, from a 50-digit
@@ -312,7 +330,7 @@ def test_full_identity_in_deep_shadow():
     # although P_T ~ 1e-46. With both channels kept the identity is exact.
     potential, region, energy = random_stack(4, 200, 400)
     psi = scattering.solve(potential, energy)
-    psi2, psichi = scattering.overlap_integrals(psi, region)
+    _, psi2, psichi = scattering.overlap_integrals(psi, region)
     weighted = (
         psi2 * psi.reflection.conjugate() + psichi * psi.transmission.conjugate()
     ).real / psi.wavenumber

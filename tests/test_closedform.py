@@ -20,11 +20,7 @@ from tunnelclock.closedform import (
     perturbed_amplitude,
     times,
 )
-from tunnelclock.errors import (
-    InvalidParameterError,
-    InvalidPerturbationError,
-    OpaqueUnderflowError,
-)
+from tunnelclock.errors import InvalidParameterError, TunnelClockError
 from tunnelclock.potentials import (
     ClockRegion,
     UnitsConfig,
@@ -259,7 +255,8 @@ def test_asymptotic_agreement_improves_with_width():
 def test_asymptotic_guard_and_underflow():
     with pytest.raises(InvalidParameterError):
         asymptotic_agreement(DoubleBarrierParams(**BASE))  # qa ~ 1.26
-    with pytest.raises(OpaqueUnderflowError):
+    with pytest.raises(TunnelClockError,
+                       match="^between-gap time decayed below the comparable range$"):
         asymptotic_agreement(
             DoubleBarrierParams(V0=0.018, a=3000.0, d=10.0, E=0.01)
         )
@@ -348,9 +345,10 @@ def test_exponential_suppression_slope():
 
 def test_shifted_regime_validation():
     p = DoubleBarrierParams(**BASE)
-    with pytest.raises(InvalidPerturbationError):
+    message = r"leaves the tunneling regime \(need 0 < E - coupling and 0 < V0 \+ coupling - E\)$"
+    with pytest.raises(InvalidParameterError, match=message):
         perturbed_amplitude(p, p.E)  # empties the gap channel
-    with pytest.raises(InvalidPerturbationError):
+    with pytest.raises(InvalidParameterError, match=message):
         perturbed_amplitude(p, -(p.V0 - p.E))  # barrier top touches E
     assert isinstance(perturbed_amplitude(p, 0.5 * p.E), complex)
 

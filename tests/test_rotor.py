@@ -4,6 +4,7 @@ measurement simulation."""
 import math
 import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -277,7 +278,9 @@ def test_barrier_reading_matches_derivative_route():
 
 def test_coupling_hard_bound():
     # j*omega = 10 * 2*pi/(21*300) ~ 1e-2 exceeds the 8e-3 margin V0 - E
-    with pytest.raises(CouplingTooStrongError):
+    with pytest.raises(CouplingTooStrongError, match=(
+            r"^largest level shift j\*hbar\*omega = 0\.009973310011396168 reaches the energy"
+            r" margin 0\.007999999999999998; reduce omega \(raise tau\) or N$")):
         measurement_simulation(
             double_barrier(0.018, 10.0, 10.0),
             ClockRegion(0.0, 30.0),
@@ -411,7 +414,7 @@ def test_level_wavenumber_past_float_range_is_rejected():
 def bits(result):
     """Every float of a reading, as exact bits."""
     values = [result.transmitted.t_read, result.transmitted.spread,
-              result.transmitted_weight, result.reflected_weight]
+              result.transmitted_weight, result.reflected_weight, result.shift_rounding]
     if result.reflected is not None:
         values += [result.reflected.t_read, result.reflected.spread]
     return [float(v).hex() for v in values]
@@ -479,6 +482,28 @@ def test_series_leading_rows_too_strong():
         rotor, 3, UnitsConfig(),
     )
     assert [result is None for _, result in series] == [True, True, False, False]
+
+
+@pytest.mark.parametrize("tau", [1e10, 1e12, 1e16, 1e18])
+def test_shift_rounding_is_the_exact_worst_rounding(tau):
+    # the rounding of each height plus each shift, in exact rationals
+    potential, region = double_barrier(0.018, 10.0, 10.0), ClockRegion(0.0, 30.0)
+    clock = ClockRotor(21, tau)
+    worst = 0
+    for m in range(-clock.j, clock.j + 1):
+        shift = float(m) * clock.omega
+        for height in (0.018, 0.0):
+            if shift:
+                error = Fraction(height + shift) - Fraction(height) - Fraction(shift)
+                worst = max(worst, abs(error) / abs(Fraction(shift)))
+    result = measurement_simulation(potential, region, 0.01, clock)
+    assert result.shift_rounding == float(worst)
+    assert (result.shift_rounding > 1e-6) == (tau >= 1e12)
+
+
+def test_shift_rounding_of_a_region_without_heights_is_zero():
+    result = measurement_simulation(FREE, ClockRegion(0.0, 5.0), 0.5, ClockRotor(21, 1e16))
+    assert result.shift_rounding == 0.0
 
 
 def count_sweeps(monkeypatch):

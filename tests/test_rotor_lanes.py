@@ -184,7 +184,8 @@ def test_series_raises_where_the_scalar_loop_raises(problem, n, strength, halvin
 def test_the_onto_e_series_raises_at_row_one():
     value, caught, read = _series_outcome(
         ALL_LANES, FLOOR, ClockRegion(0.0, 1.0), 0.5, ClockRotor(5, ONTO_E_TAU), 2, UnitsConfig())
-    assert value[0] == "DegenerateEnergyError"
+    assert value == ("InvalidParameterError",
+                     "energy 0.5 equals a region height; local wavenumber vanishes")
     assert read == 2 and len(caught) == 1
 
 
