@@ -27,8 +27,10 @@ every row whose coupling is within bound, keyed by the shift itself; the
 rows only read it, so each distinct shift is solved once and each row
 equals its own measurement_simulation, the one-row call, bit for bit. A
 large table is solved as one batch of lanes, a small one shift by shift,
-with the same bits either way. An exception a level raises is kept under
-its shift and raised where that level is read.
+with the same bits either way. A failing call raises the first error it
+meets, in this order: the halvings count, the solver's set-up, a tau past
+the float range, the first failing level in table order (row 0's levels
+in ascending m, then each later row's new shifts), the row readings.
 
 Pointer readings take the exact first trigonometric moment of the angular
 density and the time expectation one FFT of the amplitudes, so neither
@@ -38,6 +40,7 @@ builds an angular grid or an N x N matrix.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -90,6 +93,10 @@ class ClockRotor:
     tau: float
 
     def __post_init__(self) -> None:
+        try:
+            object.__setattr__(self, "N", operator.index(self.N))
+        except TypeError:
+            raise InvalidParameterError(f"N must be an integer, got {self.N!r}") from None
         if self.N < 3 or self.N % 2 == 0:
             raise InvalidParameterError(f"N must be odd and >= 3, got {self.N}")
         if not (math.isfinite(self.tau) and self.tau > 0):
@@ -191,10 +198,19 @@ def basis_state(rotor: ClockRotor, k: int) -> ClockState:
     return ClockState(amps)
 
 
+def _amplitudes(rotor: ClockRotor, state: ClockState) -> np.ndarray:
+    """The state's amplitudes, one per level of the rotor."""
+    if state.amplitudes.size != rotor.N:
+        raise InvalidParameterError(
+            f"state has {state.amplitudes.size} levels, rotor has N = {rotor.N}"
+        )
+    return state.amplitudes
+
+
 def evolve(rotor: ClockRotor, state: ClockState, t: float) -> ClockState:
     """Free rotor evolution: amplitude of level m picks up e^{-i*m*omega*t}."""
     phases = np.exp(-1j * rotor.omega * t * rotor.levels)
-    return ClockState(state.amplitudes * phases)
+    return ClockState(_amplitudes(rotor, state) * phases)
 
 
 def time_expectation(rotor: ClockRotor, state: ClockState) -> float:
@@ -209,7 +225,7 @@ def time_expectation(rotor: ClockRotor, state: ClockState) -> float:
     # <v_k|state> = sum_m c_m e^{2*pi*i*m*k/N} / sqrt(N). Shifting m by j
     # to index the amplitudes from 0 only rotates the phase, so
     # |<v_k|state>|^2 = N |ifft(c)_k|^2.
-    weights = rotor.N * np.abs(np.fft.ifft(state.amplitudes)) ** 2
+    weights = rotor.N * np.abs(np.fft.ifft(_amplitudes(rotor, state))) ** 2
     return float(np.sum(ks * rotor.tau * weights))
 
 
@@ -221,7 +237,7 @@ def read_pointer(rotor: ClockRotor, state: ClockState) -> PointerReading:
     needed. The spread is the circular standard deviation
     sqrt(-2 ln |first moment|) divided by omega.
     """
-    amps = state.amplitudes
+    amps = _amplitudes(rotor, state)
     moment = np.vdot(amps[1:], amps[:-1]) / np.vdot(amps, amps).real
     resultant = abs(moment)
     if resultant < 1e-12:
@@ -271,10 +287,9 @@ def _reading(
     rotor: ClockRotor, shifts: list[float], bound: float, known: dict, heights: np.ndarray
 ) -> MeasurementResult | None:
     """One reading of the rotor with the level shifts of _shifts, from
-    the table of _presolved, which holds every shift of a row within
-    bound, and the _heights the shifts apply to; None where the largest
-    shift reaches bound. The first level in ascending m whose solve raised
-    raises its exception here; every transmitted amplitude underflowing
+    the table of _presolved, which holds the (T, R) of every shift of a
+    row within bound, and the _heights the shifts apply to; None where the
+    largest shift reaches bound. Every transmitted amplitude underflowing
     raises TunnelClockError.
 
     Only measurement_simulation and measurement_series call this, so the
@@ -292,14 +307,9 @@ def _reading(
             stacklevel=3,
         )
 
-    amplitudes = []
-    for shift in shifts:
-        solved = known[shift]
-        if isinstance(solved, Exception):
-            raise solved
-        amplitudes.append(solved)
     transmitted, reflected = (
-        np.array(channel) / math.sqrt(rotor.N) for channel in zip(*amplitudes)
+        np.array(channel) / math.sqrt(rotor.N)
+        for channel in zip(*(known[shift] for shift in shifts))
     )
 
     t_weight = float(np.sum(np.abs(transmitted) ** 2))
@@ -369,20 +379,16 @@ def measurement_series(
 
     Each distinct level shift is solved once per call: before any row is
     read, the shifts of all rows within the margin go into one table. The
-    rows only read it, so a failure surfaces at the row and level where a
-    row-by-row loop would raise it.
+    rows only read it. A failing call raises the first error it meets, in
+    the order the module docstring gives, before it reads any row.
     """
     if halvings < 0:
         raise InvalidParameterError(f"halvings must be >= 0, got {halvings}")
     bound, levels = scattering._shifted_solver(potential, region, energy, units)
-    rotors, failure = [rotor], None
-    try:
-        for _ in range(halvings):
-            # Doubling is exact; past the float range ClockRotor rejects tau.
-            rotors.append(ClockRotor(rotor.N, rotors[-1].tau * 2.0))
-    except InvalidParameterError as error:
-        # Raised after the rows before it are read, as a row-by-row loop would.
-        failure = error
+    rotors = [rotor]
+    for _ in range(halvings):
+        # Doubling is exact; past the float range ClockRotor rejects tau.
+        rotors.append(ClockRotor(rotor.N, rotors[-1].tau * 2.0))
     shifted = [_shifts(rotor, units) for rotor in rotors]
     known = _presolved(shifted, bound, levels)
     heights = _heights(potential, region)
@@ -390,6 +396,4 @@ def measurement_series(
     for rotor, row in zip(rotors, shifted):
         # a loop, so the coupling warning's stack level reaches the caller
         rows.append((rotor, _reading(rotor, row, bound, known, heights)))
-    if failure is not None:
-        raise failure
     return rows

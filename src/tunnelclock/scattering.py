@@ -315,8 +315,9 @@ def _solution(kappas, bp: tuple[float, ...], energy: float, units: UnitsConfig):
 def _shifted_solver(potential: PiecewiseConstantPotential, region: ClockRegion, energy: float,
                     units: UnitsConfig) -> tuple[float, Callable[[list[float]], list]]:
     """The shift bound, and a function from a list of shifts of the
-    potential inside the clock region to the (T, R) of each, or the
-    exception solving it raised; from _LANE_BATCH_MIN shifts up as lanes.
+    potential inside the clock region to the (T, R) of each; from
+    _LANE_BATCH_MIN shifts up as lanes. The function raises what solving
+    the first failing shift in the list raises, in either form.
 
     The bound is the smallest energy margin: the energy itself and |V - E|
     of every interval inside the region, above or below E. The cut list,
@@ -341,22 +342,15 @@ def _shifted_solver(potential: PiecewiseConstantPotential, region: ClockRegion, 
 
     def solver(strengths: list[float]) -> list:
         if len(strengths) < _LANE_BATCH_MIN:
-            return [_attempt(shifted, strength) for strength in strengths]
+            return [shifted(strength) for strength in strengths]
         return _lanes(kappas, moved, cuts, energy, units, strengths, shifted)
 
     return min([energy, *(abs(base - energy) for _, base in moved)]), solver
 
 
-def _attempt(shifted, strength: float):
-    """shifted's (T, R) for the shift, or the exception it raised."""
-    try:
-        return shifted(strength)
-    except Exception as error:  # raised again where the result is read
-        return error
-
-
 def _lanes(kappas, moved, cuts, energy, units, strengths, shifted) -> list:
-    """The (T, R) of each shift, or the exception shifted raises for it.
+    """The (T, R) of each shift; the first shift whose solve fails
+    raises, as in the scalar loop.
 
     The L shifts run as float64 lanes through shifted's checks, sweep and
     amplitudes with CPython's scalar rules (see _arith), so every lane
@@ -369,7 +363,9 @@ def _lanes(kappas, moved, cuts, energy, units, strengths, shifted) -> list:
     shifted height that is not finite or equals the energy, a wavenumber
     that is zero or infinite, a zero divisor, an abs or exponential that
     raises (the sweep's fold), or a peak past the rescale limit. Those
-    lanes go through shifted itself.
+    lanes go through shifted itself, in list order, so the first of them
+    that raises is the first shift the scalar loop raises for. An end
+    phase that raises sends every lane that way.
     """
     # numpy only here, so solve and its callers run without it
     import numpy as np
@@ -437,14 +433,10 @@ def _lanes(kappas, moved, cuts, energy, units, strengths, shifted) -> list:
         trans = _cmul(_cmul((1.0, 0.0), factor), (phase_last.real, phase_last.imag))
         refl = _cmul(_cmul((amp[0][lanes:], amp[1][lanes:]), factor), (phase0.real, phase0.imag))
 
-    results = []
     columns = (part.tolist() for part in (*trans, *refl))
-    for strength, plain, t_re, t_im, r_re, r_im in zip(strengths, (~bad).tolist(), *columns):
-        if plain:
-            results.append((complex(t_re, t_im), complex(r_re, r_im)))
-        else:
-            results.append(_attempt(shifted, strength))
-    return results
+    return [(complex(t_re, t_im), complex(r_re, r_im)) if plain else shifted(strength)
+            for strength, plain, t_re, t_im, r_re, r_im
+            in zip(strengths, (~bad).tolist(), *columns)]
 
 
 def _overlaps(bp: tuple[float, ...], region: ClockRegion):

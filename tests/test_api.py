@@ -72,6 +72,37 @@ def test_every_declared_error_is_raised_and_the_warning_warned():
     assert set(declared) - exceptions == {"CouplingWarning"} <= warned
 
 
+def _keeps_exception(node) -> bool:
+    """Whether node treats an exception as a value: an isinstance test
+    against Exception or BaseException, or a handler that returns, assigns
+    or appends the exception it catches."""
+    if isinstance(node, ast.Call) and _called_name(node) == "isinstance" and len(node.args) == 2:
+        kinds = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else [node.args[1]]
+        return bool({_called_name(kind) for kind in kinds} & {"Exception", "BaseException"})
+    if not (isinstance(node, ast.ExceptHandler) and node.name):
+        return False
+    for inner in ast.walk(node):
+        if isinstance(inner, (ast.Return, ast.Assign, ast.AnnAssign)):
+            values = [inner.value]
+        elif (isinstance(inner, ast.Call) and isinstance(inner.func, ast.Attribute)
+              and inner.func.attr == "append"):
+            values = inner.args
+        else:
+            continue
+        if any(isinstance(v, ast.Name) and v.id == node.name for v in values):
+            return True
+    return False
+
+
+def test_no_exception_is_kept_as_a_value():
+    # An error raises where it happens; none is stored to be raised later.
+    kept = [(path.name, node.lineno)
+            for path in Path(tunnelclock.__path__[0]).glob("*.py")
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if _keeps_exception(node)]
+    assert kept == []
+
+
 def test_tracing_harness_binds_every_layer_function():
     tracing = _load(BENCHMARKS / "tracing.py")
     for module_name, function in tracing.LAYER_FUNCTIONS:

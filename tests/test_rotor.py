@@ -72,6 +72,15 @@ def test_rotor_validation():
     assert list(ROTOR.levels) == list(range(-10, 11))
 
 
+def test_rotor_needs_an_integer_n():
+    with pytest.raises(InvalidParameterError, match="N must be an integer, got 21.0"):
+        ClockRotor(21.0, 2e4)
+    with pytest.raises(InvalidParameterError, match="N must be odd and >= 3, got 4"):
+        ClockRotor(np.int64(4), 1.0)
+    rotor = ClockRotor(np.int64(21), 2e4)
+    assert type(rotor.N) is int and rotor == ClockRotor(21, 2e4)
+
+
 def test_state_validation():
     with pytest.raises(InvalidParameterError):
         ClockState(np.ones(21))  # not normalized
@@ -96,6 +105,28 @@ def test_basis_index_validation():
         basis_state(ROTOR, -1)
     with pytest.raises(InvalidParameterError):
         basis_state(ROTOR, 21)
+
+
+# A state of the 5-level rotor handed to the 3-level one
+SMALL, LARGE = ClockRotor(3, 1.0), ClockRotor(5, 1.0)
+MISMATCH = "state has 5 levels, rotor has N = 3"
+
+
+def test_evolve_rejects_a_state_of_another_size():
+    with pytest.raises(InvalidParameterError, match=MISMATCH):
+        evolve(SMALL, basis_state(LARGE, 1), 1.0)
+
+
+def test_time_expectation_rejects_a_state_of_another_size():
+    with pytest.raises(InvalidParameterError, match=MISMATCH):
+        time_expectation(SMALL, basis_state(LARGE, 1))
+
+
+def test_read_pointer_rejects_a_state_of_another_size():
+    # on its own rotor the state reads 1.0
+    assert read_pointer(LARGE, basis_state(LARGE, 1)).t_read == pytest.approx(1.0)
+    with pytest.raises(InvalidParameterError, match=MISMATCH):
+        read_pointer(SMALL, basis_state(LARGE, 1))
 
 
 def test_rigid_stepping():
@@ -391,24 +422,31 @@ def test_level_shifted_past_float_range_is_rejected():
     # is not finite, as perturb's potential would report. With mass 0.25
     # the wavenumbers of the two lower levels, 2m|V - E| ~ 0.9e308, stay
     # in the float range, so the shifted height is what gets rejected.
+    # The row's coupling would warn, but the level raises before the row
+    # is read.
     rotor = ClockRotor(3, math.tau / 1.5e300)
     potential = PiecewiseConstantPotential((0.0, 1.0), (sys.float_info.max,))
     units = UnitsConfig(mass=0.25)
-    with pytest.warns(CouplingWarning), pytest.raises(
+    with warnings.catch_warnings(record=True) as caught, pytest.raises(
         InvalidParameterError, match="must be finite"
     ):
+        warnings.simplefilter("always")
         measurement_simulation(potential, ClockRegion(0.0, 1.0), 1e300, rotor, units)
+    assert caught == []
 
 
 def test_level_wavenumber_past_float_range_is_rejected():
     # at mass 1 the m = -1 level's 2m|V - E| overflows: its wavenumber is
-    # rejected before any level sees a non-finite height
+    # rejected before any level sees a non-finite height, and before the
+    # row is read, so nothing warns
     rotor = ClockRotor(3, math.tau / 1.5e300)
     potential = PiecewiseConstantPotential((0.0, 1.0), (sys.float_info.max,))
-    with pytest.warns(CouplingWarning), pytest.raises(
+    with warnings.catch_warnings(record=True) as caught, pytest.raises(
         InvalidParameterError, match="wavenumber beyond the float range"
     ):
+        warnings.simplefilter("always")
         measurement_simulation(potential, ClockRegion(0.0, 1.0), 1e300, rotor)
+    assert caught == []
 
 
 def bits(result):
@@ -538,6 +576,20 @@ def test_series_with_shifts_underflowing_to_zero(monkeypatch):
     transmitted, reflected = solve_per_level(potential, region, 0.01, rotor, units)
     assert len(set(transmitted)) == len(set(reflected)) == 1
     assert series[0][1].transmitted.t_read == 0.0
+
+
+@pytest.mark.parametrize("n", [3, 101])
+def test_a_series_whose_tau_overflows_at_row_two_solves_no_level(monkeypatch, n):
+    # N*tau is 6e307 at row 0 and 1.2e308 at row 1; row 2's overflows, so
+    # the call raises before it solves any level of rows 0 and 1, whether
+    # as scalar sweeps (N = 3) or as lanes (N = 101)
+    batches, lanes = [], scattering._lanes
+    monkeypatch.setattr(scattering, "_lanes", lambda *args: batches.append(0) or lanes(*args))
+    sweeps = count_sweeps(monkeypatch)
+    with pytest.raises(InvalidParameterError, match="N\\*tau overflows"):
+        measurement_series(double_barrier(0.018, 10.0, 10.0), ClockRegion(0.0, 30.0), 0.01,
+                           ClockRotor(n, 6e307 / n), 2)
+    assert sweeps == [] and batches == []
 
 
 def test_clock_sim_solves_each_distinct_shift_once(monkeypatch, capsys):

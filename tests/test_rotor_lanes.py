@@ -1,6 +1,6 @@
 """Rotor levels solved as one batch of float64 lanes against the scalar
-per-level solve: equal bits, the same exceptions at the same row, and the
-same clock-sim output whichever path a call takes."""
+per-level solve: equal bits, the same first exception, and the same
+clock-sim output whichever path a call takes."""
 
 import math
 import sys
@@ -40,10 +40,7 @@ def _positive(lo, hi):
 
 
 def _bits(value):
-    """The exact bits of a (T, R) result, or the type and text of the
-    exception kept for it."""
-    if isinstance(value, Exception):
-        return type(value).__name__, str(value)
+    """The exact bits of a (T, R) result."""
     return tuple(part.hex() for z in value for part in (z.real, z.imag))
 
 
@@ -52,6 +49,15 @@ def _levels(levels, shifts, lanes_from):
     lanes."""
     with mock.patch.object(scattering, "_LANE_BATCH_MIN", lanes_from):
         return levels(shifts)
+
+
+def _outcome(levels, shifts, lanes_from):
+    """The bits of _levels(levels, shifts, lanes_from), or the type and
+    text of what it raised."""
+    try:
+        return [_bits(solved) for solved in _levels(levels, shifts, lanes_from)]
+    except Exception as error:  # compared, not handled
+        return type(error).__name__, str(error)
 
 
 def _inside(lo, hi, u1, u2):
@@ -132,10 +138,12 @@ def test_lanes_equal_the_scalar_level(case):
     except TunnelClockError:
         return
     shifts = [fraction * bound for fraction in fractions] + specials
-    got = _levels(levels, shifts, ALL_LANES)
-    assert len(got) == len(shifts)
-    for shift, solved, scalar in zip(shifts, got, _levels(levels, shifts, NO_LANES)):
-        assert _bits(solved) == _bits(scalar), shift
+    got = _outcome(levels, shifts, ALL_LANES)
+    assert got == _outcome(levels, shifts, NO_LANES)
+    assert isinstance(got, tuple) or len(got) == len(shifts)
+    # shift by shift too, so the levels after the first failing one compare
+    for shift in shifts:
+        assert _outcome(levels, [shift], ALL_LANES) == _outcome(levels, [shift], NO_LANES), shift
 
 
 def _series_outcome(lanes_from, *args):
@@ -181,12 +189,26 @@ def test_series_raises_where_the_scalar_loop_raises(problem, n, strength, halvin
     assert _series_outcome(ALL_LANES, *args) == _series_outcome(NO_LANES, *args)
 
 
+ONTO_E = ("InvalidParameterError", "energy 0.5 equals a region height; local wavenumber vanishes")
+
+
 def test_the_onto_e_series_raises_at_row_one():
+    # the level raises before row 0 (too strong) or row 1 (warning) is read
     value, caught, read = _series_outcome(
         ALL_LANES, FLOOR, ClockRegion(0.0, 1.0), 0.5, ClockRotor(5, ONTO_E_TAU), 2, UnitsConfig())
-    assert value == ("InvalidParameterError",
-                     "energy 0.5 equals a region height; local wavenumber vanishes")
-    assert read == 2 and len(caught) == 1
+    assert value == ONTO_E
+    assert read == 0 and caught == []
+
+
+@pytest.mark.parametrize("lanes_from", [ALL_LANES, NO_LANES], ids=["lanes", "scalar"])
+def test_a_level_failing_on_row_two_reads_no_row(lanes_from):
+    # Halving tau doubles omega exactly: rows 0 and 1 are too strong, and
+    # level m = 2 of row 2 lands on E. Row 2 would warn if it were read.
+    value, caught, read = _series_outcome(
+        lanes_from, FLOOR, ClockRegion(0.0, 1.0), 0.5, ClockRotor(5, ONTO_E_TAU / 2), 2,
+        UnitsConfig())
+    assert value == ONTO_E
+    assert read == 0 and caught == []
 
 
 def test_opaque_lanes_fall_back_where_the_sweep_rescales():
