@@ -2,8 +2,9 @@
 arithmetic, one element per independent scalar computation; an operand
 that many elements share may be one element long, and is computed once.
 
-closedform evaluates a sweep of parameter sets and scattering a batch
-of shifted potentials this way. Each element equals, bit for bit, what plain
+closedform evaluates a sweep of parameter sets this way in real
+arithmetic, and scattering's lanes a batch of shifted potentials in real
+and complex arithmetic. Each element equals, bit for bit, what plain
 CPython 3.11 float and complex arithmetic gives for that element alone,
 so results do not depend on how many are evaluated at once:
 
@@ -16,9 +17,8 @@ so results do not depend on how many are evaluated at once:
   other way), differ from them in the last bit.
 - Complex values are (real, imag) pairs combined by CPython 3.11's rules:
   a float operand of a complex operation is taken as (x, 0.0); the
-  product (ac - bd, ad + bc); Smith's quotient; z ** 2 as 1 * (z * z);
-  exp(z) as e^re (cos, sin) of im; abs as hypot. numpy's complex product
-  rounds differently.
+  product (ac - bd, ad + bc); Smith's quotient; exp(z) as e^re (cos, sin)
+  of im; abs as hypot. numpy's complex product rounds differently.
 - Where the scalar arithmetic raises (a square that overflows, an
   exponential out of range, a zero divisor), the element is marked in a
   bad mask instead, every element that the failing operand broadcasts to.
@@ -52,14 +52,6 @@ def _cadd(x, y):
 def _cmul(x, y):
     """Complex product of (real, imag) pairs; a float operand is (x, 0.0)."""
     return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
-
-
-def _csquare(z, bad: np.ndarray):
-    """z ** 2 as CPython forms it, 1 * (z * z); marks bad where a part is
-    infinite, where it raises."""
-    r = _cmul((1.0, 0.0), _cmul(z, z))
-    bad |= np.isinf(r[0]) | np.isinf(r[1])
-    return r
 
 
 def _cdiv(x, y, bad: np.ndarray):

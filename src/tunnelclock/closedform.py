@@ -1,5 +1,7 @@
-"""Exact transmission amplitude and clock times for the symmetric double
-barrier, with opaque-limit and wide-barrier asymptotics.
+"""Clock times and transmission probability of the symmetric double
+barrier, with opaque-limit and wide-barrier asymptotics. All of them come
+from alpha and beta, the real and imaginary parts of the transmission
+amplitude's denominator, and from their derivatives.
 
 All expressions are evaluated in a form scaled by e^{-2qa}: cosh(2qa) and
 sinh(2qa) never appear directly, only (1 +- e^{-4qa})/2, and purely
@@ -11,11 +13,12 @@ overflow (2qa of a few hundred and beyond).
 The formulas run over float64 arrays: ``grid`` evaluates a whole sweep in
 one pass, each intermediate in the shape of the parameters it depends on,
 so what a float parameter determines is evaluated once and only the
-outputs are broadcast; ``perturbed_amplitude`` runs the same code on
-arrays of length one. The arrays round like scalar
-CPython arithmetic (see ``_arith``), so each element equals, bit for bit,
-what that parameter set alone gives, and the 17-digit CSV does not depend
-on how many points are evaluated at once. Where the scalar arithmetic
+outputs are broadcast; ``perturbed_amplitude`` takes alpha and beta from
+the same code at one set, and forms the complex amplitude from them in
+plain complex arithmetic. The arrays round like scalar CPython
+arithmetic (see ``_arith``), so each element equals, bit for bit, what
+that parameter set alone gives, and the 17-digit CSV does not depend on
+how many points are evaluated at once. Where the scalar arithmetic
 would raise, the set is marked in a mask instead and its values are NaN.
 ``times`` and ``near_resonance`` read ``grid`` at their one set, so they
 raise exactly where it marks that set, as the CLI does.
@@ -23,13 +26,14 @@ raise exactly where it marks that set, as the CLI does.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from ._arith import _cabs, _cdiv, _cexp, _cmul, _csquare, _each
+from ._arith import _each
 from .errors import InvalidParameterError, TunnelClockError
 from .potentials import NATURAL_UNITS, UnitsConfig
 
@@ -129,8 +133,9 @@ class DoubleBarrierGrid:
     every field, whichever parameters were given as one float.
 
     ok is False where the set leaves the tunneling regime, where the
-    scalar times, amplitude, abs(amplitude) ** 2 or proximity would raise
-    for it, or where a time is not finite; times raises exactly there.
+    scalar times, trans_prob or proximity would raise for it, where a time
+    is not finite, or where t_whole underflowed to zero; times raises
+    exactly there.
     The times and trans_prob are NaN there. proximity is NaN outside the
     tunneling regime and where it is undefined; near_resonance raises there.
     """
@@ -202,17 +207,17 @@ def _terms(p, q, a, d, bad: np.ndarray) -> _Terms:
     )
 
 
-def _scaled_alpha_beta(k, q, t: _Terms):
+def _scaled_alpha_beta(k, p, q, t: _Terms):
     """Amplitude components alpha_m, beta_m scaled by e^{-2qa}.
 
-    k is the wavenumber outside the barriers, the gap's included, and q
-    the barrier decay constant; t holds the terms of k and q.
+    k is the wavenumber outside the barriers, p the gap's and q the
+    barrier decay constant; t holds the terms of p and q.
     """
-    alpha = 2.0 * k * q * (2.0 * k * q * t.cos * t.ch + (q * q - k * k) * t.sin * t.sh)
+    alpha = 2.0 * k * q * (2.0 * p * q * t.cos * t.ch + (q * q - p * p) * t.sin * t.sh)
     beta = (
-        -(k * k + q * q) * (k * k + q * q) * t.sin * t.nh
-        + 2.0 * k * q * (q * q - k * k) * t.cos * t.sh
-        + (q * q - k * k) * (q * q - k * k) * t.sin * t.ch
+        -(k * k + q * q) * (p * p + q * q) * t.sin * t.nh
+        + 2.0 * p * q * (q * q - k * k) * t.cos * t.sh
+        + (q * q - p * p) * (q * q - k * k) * t.sin * t.ch
     )
     return alpha, beta
 
@@ -268,10 +273,16 @@ def _scaled_gammas(k, q, a, d, t: _Terms, bad: np.ndarray):
 
 
 def _times(k, q, a, d, units: UnitsConfig, t: _Terms, bad: np.ndarray):
-    """(t_whole, t_between, t_barriers, t_opaque); marks bad where a time
-    is not finite or its arithmetic would raise."""
+    """(t_whole, t_between, t_barriers, t_opaque, trans_prob); marks bad
+    where a time is not finite or its arithmetic would raise, and where
+    t_whole is zero.
+
+    A structure of positive width holds the particle for a positive time,
+    so a zero t_whole has underflowed. trans_prob is |T|^2 with
+    |T| = 4 k^2 q^2 e^{-2qa} / |alpha + i beta|, both sides scaled alike.
+    """
     m, hbar = units.mass, units.hbar
-    alpha, beta = _scaled_alpha_beta(k, q, t)
+    alpha, beta = _scaled_alpha_beta(k, k, q, t)
     g1, g2, g3, g4 = _scaled_gammas(k, q, a, d, t, bad)
     h1 = alpha * g1 - beta * g2
     h2 = alpha * g3 - beta * g4
@@ -282,10 +293,13 @@ def _times(k, q, a, d, units: UnitsConfig, t: _Terms, bad: np.ndarray):
     k2, q2 = k * k, q * q
     t_opaque = 2.0 * m * k / (hbar * q * (k2 + q2))
     # A zero divisor above, where the scalar arithmetic raises, leaves its
-    # time infinite or NaN, so this check covers it.
+    # time infinite or NaN, so this check covers it. Where |alpha + i beta|
+    # overflows, so does denom, and t_whole is zero or NaN.
     for value in (t_whole, t_between, t_barriers, t_opaque):
         bad |= ~np.isfinite(value)
-    return t_whole, t_between, t_barriers, t_opaque
+    bad |= t_whole == 0.0
+    trans_prob = _square(4.0 * k * k * q * q * t.nh / np.hypot(alpha, beta), bad)
+    return t_whole, t_between, t_barriers, t_opaque, trans_prob
 
 
 def _asymptotic(k, q, d, units: UnitsConfig, t: _Terms) -> np.ndarray:
@@ -308,30 +322,6 @@ def _asymptotic(k, q, d, units: UnitsConfig, t: _Terms) -> np.ndarray:
         + (k2 - q2) * _each(math.sin, np.where(np.isnan(res_den), 0.0, 2.0 * k * d))
     )
     return (4.0 * m * q2 / hbar) * t.nh / (k2 + q2) * numer / (res_den * res_den)
-
-
-def _amplitude(k, p, q, a, d, t: _Terms, bad: np.ndarray):
-    """Transmission amplitude (real, imag) with the region (0, 2a+d)
-    shifted to gap wavenumber p and barrier decay q; t holds their terms."""
-    nh = t.nh
-    # Denominator scaled by e^{-2qa}; the amplitude carries the inverse
-    # factor explicitly, so nothing overflows for wide barriers.
-    real = 2.0 * t.sin * (k * k + q * q) * (p * p + q * q) * nh
-    mixed = 2.0 * p * q * t.cos + (p * p - q * q) * t.sin
-    plain = 2.0 * p * q * t.cos - (p * p - q * q) * t.sin
-    # k - 1j * q and q - 1j * k, with 1j * x taken as (0, 1) * (x, 0).
-    iq, ik = _cmul((0.0, 1.0), (q, 0.0)), _cmul((0.0, 1.0), (k, 0.0))
-    first = _cmul(_csquare((k - iq[0], 0.0 - iq[1]), bad), (mixed, 0.0))
-    first = _cmul(_cmul(first, (nh, 0.0)), (nh, 0.0))
-    second = _cmul(_csquare((q - ik[0], 0.0 - ik[1]), bad), (plain, 0.0))
-    denom = (real - first[0] - second[0], 0.0 - first[1] - second[1])
-
-    numer = _cmul((0.0, 8.0), (k, 0.0))
-    for factor in (p, q, q):
-        numer = _cmul(numer, (factor, 0.0))
-    phase = _cmul(_cmul((-0.0, -1.0), (2.0 * a + d, 0.0)), (k, 0.0))
-    numer = _cmul(_cmul(numer, _cexp(phase, bad)), (nh, 0.0))
-    return _cdiv(numer, denom, bad)
 
 
 def _proximity(k, q, d, bad: np.ndarray) -> np.ndarray:
@@ -371,9 +361,8 @@ def grid(V0, a, d, E, units: UnitsConfig = NATURAL_UNITS) -> DoubleBarrierGrid:
         q = np.sqrt(2.0 * m * (V0 - E)) / hbar
         t = _terms(k, q, a, d, bad)
         values = _times(k, q, a, d, units, t, bad)
-        trans_prob = _square(_cabs(_amplitude(k, k, q, a, d, t, bad), bad), bad)
         proximity = _proximity(k, q, d, bad)
-    return DoubleBarrierGrid(*(np.where(bad, np.nan, v) for v in (*values, trans_prob)),
+    return DoubleBarrierGrid(*(np.where(bad, np.nan, v) for v in values),
                              np.where(regime, proximity, np.nan), ~bad)
 
 
@@ -395,15 +384,28 @@ def _shifted_wavenumbers(params: DoubleBarrierParams, coupling: float) -> tuple[
 
 
 def perturbed_amplitude(params: DoubleBarrierParams, coupling: float = 0.0) -> complex:
-    """Transmission amplitude with the whole region (0, 2a+d) shifted by coupling."""
+    """Transmission amplitude with the whole region (0, 2a+d) shifted by
+    coupling: 4i k p q^2 e^{-2qa} e^{-ik(2a+d)} / (-beta + i alpha), at
+    the shifted gap wavenumber p and barrier decay q. Raises
+    InvalidParameterError where alpha, beta or the amplitude leave the
+    float range."""
     p, q = _shifted_wavenumbers(params, coupling)
-    k, p, q, a, d = _arrays(params.k, p, q, params.a, params.d)
+    k, a, d = params.k, params.a, params.d
     bad = np.zeros(1, bool)
     with np.errstate(all="ignore"):
-        re, im = _amplitude(k, p, q, a, d, _terms(p, q, a, d, bad), bad)
-    if bad[0]:
-        raise params.float_range_error("amplitude values")
-    return complex(re[0], im[0])
+        t = _terms(*_arrays(p, q, a, d), bad)
+        alpha, beta = _scaled_alpha_beta(*_arrays(k, p, q), t)
+    alpha, beta = float(alpha[0]), float(beta[0])
+    if not bad[0] and math.isfinite(alpha) and math.isfinite(beta):
+        try:
+            amplitude = (4j * k * p * q * q * float(t.nh[0]) * cmath.exp(-1j * (2.0 * a + d) * k)
+                         / complex(-beta, alpha))
+        except (ArithmeticError, ValueError):
+            pass
+        else:
+            if cmath.isfinite(amplitude):
+                return amplitude
+    raise params.float_range_error("amplitude values")
 
 
 def times(params: DoubleBarrierParams) -> DoubleBarrierTimes:
@@ -415,8 +417,9 @@ def times(params: DoubleBarrierParams) -> DoubleBarrierTimes:
     barriers. t_whole = t_between + t_barriers holds identically.
 
     Raises InvalidParameterError exactly where grid marks the set, as the
-    CLI does: where the times leave the float range, or the transmission
-    probability or the proximity would raise.
+    CLI does: where the times leave the float range or t_whole underflows
+    to zero, or where the transmission probability or the proximity would
+    raise.
     """
     g = grid(params.V0, params.a, params.d, params.E, params.units)
     if not g.ok[0]:

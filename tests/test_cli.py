@@ -416,23 +416,23 @@ def test_sweep_out_of_regime_rows_kept(tmp_path):
 # byte-identical across refactors of the row loop.
 GOLDEN_SHA256 = [
     ("fig1 --panel a",
-     "d83b576088a0d5249698507fdba360492abb9c95c88208072babbcf5b2fa2125"),
+     "e79a8b558826da43641bea5eb1105d509c95da39808ce8b9ea585cb77ac0b3c5"),
     ("fig1 --panel b",
-     "e631d1c2fe2dd6eb5f218ee1e4f91a7e81bf5aa20b5cdeb7ea01abed52be2822"),
+     "0dae1ddbfd6036275951f834ba9cf916230e8ae4e7d1a3c0191b9d71c0ff08ff"),
     ("sweep --axis d --start 1 --stop 100 --count 50 --E 0.01 --V0 0.018 --a 10",
-     "1fe20339ff938f5a0c4368ea924cba6b190ef3253acebae2801a34130644d9aa"),
+     "dcd970b9f3030aad79e99d943e8fec14765d8da44e020ea2e4f13ad1df3eef94"),
     ("sweep --axis a --start 2 --stop 40 --count 30 --E 0.01 --V0 0.018 --d 10",
-     "7d87469162d8a9f2f28abf9b39f2805f43f057e35cc29b4c1fd9de63a2207564"),
+     "64fb1b2cddfa49d3e7e33ba26001c9d09f4de6b74e2a9a386cac1c02e05d8164"),
     ("sweep --axis E --start 0.001 --stop 0.025 --count 25 --V0 0.018 --a 10 --d 10",
-     "2c4b807acd62d64ffc88e73770db4b3059d8e76930994901c1d95d838aa7c2af"),
+     "50cbb26dddd5dcfdb5d98a4ea69f24d81b830d691a125bef95672f088a116318"),
     ("sweep --axis V0 --start 0.005 --stop 0.05 --count 40 --E 0.01 --a 10 --d 10"
      " --mass 2 --hbar 0.5",
-     "7a2ad225e17378d2571c1b1762aabd5bcef15a39bda6ba7a18347c04244bc78e"),
+     "2c98c36d75140fbc586226e279b2f1d88a42f10d216b3f7d8ddb8b3bfc3716d9"),
     ("times --E 0.01 --V0 0.018 --a 10 --d 10",
-     "e61c1b4325e653c5a548bc7ec0eafa7a3b72b33e4dd3b7f8cfd8e763bc6ab9be"),
+     "25d65b6791bf56003bc75b507e57d1814e315205bc0b72c6011535219d3fd986"),
     # "-5e-3" reads as the same float as "-0.005"
     ("sweep --axis E --start -5e-3 --stop 0.025 --count 31 --V0 0.018 --a 10 --d 10",
-     "a4e57a32ab1bc37682bd6a5008614786e4dffe526d96d63658ce7cb20d5d01f3"),
+     "488304c668e908284773e2aa88592262bfd5f6007cfed1a3c1109a1850b296f5"),
     ("clock-sim --N 21 --tau 25000 --halvings 3 --E 0.01 --V0 0.018 --a 10 --d 10",
      "6970009ab47498a7253edd0fcc323104dfef681544e8a30c5aac6d18363dd25c"),
     # region edges strictly inside the support add breakpoints to the cuts
@@ -440,15 +440,18 @@ GOLDEN_SHA256 = [
      " --z1 4 --z2 27.5",
      "42542bd3e94f229646e8f23b90cb799e6116b63c3ae40acf9911b7bdb90207e5"),
     # long grids and grids that span the float range, recorded with the
-    # per-point scalar closed forms before they became one array pass
+    # per-point scalar closed forms before they became one array pass, and
+    # re-recorded after a cell-by-cell diff when trans_prob came to be
+    # taken from alpha and beta; the E sweep's first six rows, whose times
+    # underflowed to zero, then became NA
     ("fig1 --panel a --count 20000",
-     "d4b80cf39611b580bd2818aa8ae1e020023f32cb3aac5e7779eae71f452a22b6"),
+     "0caf2e1ef84d7e128075d87570cde626e593f45e3fb4e18f7d82beff98891c4c"),
     ("fig1 --panel b --count 20000 --mass 3 --hbar 0.37",
-     "82eaa18d7f3e247cc8ea875c0675a12c997aec810ddcc17b053e3364e98743d2"),
+     "fd3be046f5dc6f05f3905905d4293d9c1b60892c812f713e01bd652eafcf3308"),
     ("sweep --axis a --start 1e-300 --stop 1e300 --count 9 --E 0.01 --V0 0.018 --d 10",
      "298cb02e5dfb7c49b354649372d09e80dd94aaa7e8d377a0962f645aab5c5c4e"),
     ("sweep --axis E --start 1e-320 --stop 1e-300 --count 7 --V0 0.018 --a 10 --d 10",
-     "038884f8f33b1a855b756665867ea5e8fe5431e67ff69dc2d254b07f4b1aac39"),
+     "c69a40d84c4c44e8a03e89b0da588cb30da4cacec632d9f25afae70a35362300"),
     # recorded with one scalar sweep per level before the levels became a
     # lane batch: every lane plain, and an opaque stack where 362 of row
     # 0's 401 levels rescale

@@ -80,6 +80,20 @@ def test_times_refuses_where_the_cli_does(capsys):
     assert capsys.readouterr().err == f"tunnelclock: {raised.value}\n"
 
 
+@pytest.mark.parametrize("point", [
+    dict(E=1e-320, V0=0.018, a=10.0, d=10.0),  # t_whole is about 1e-157
+    dict(E=1e-87, V0=1.0, a=1e-161, d=1e38),
+])
+def test_an_underflowed_dwell_time_is_refused(capsys, point):
+    # a structure of positive width holds the particle for a positive
+    # time, so a t_whole of zero has underflowed
+    assert not grid(point["V0"], point["a"], point["d"], point["E"]).ok[0]
+    with pytest.raises(InvalidParameterError) as raised:
+        times(DoubleBarrierParams(**point))
+    assert main(["times", *(f"--{key}={value!r}" for key, value in point.items())]) == 2
+    assert capsys.readouterr() == ("", f"tunnelclock: {raised.value}\n")
+
+
 def test_amplitude_matches_engine():
     p = DoubleBarrierParams(**BASE)
     sol = solve(double_barrier(p.V0, p.a, p.d), p.E)
@@ -206,7 +220,7 @@ def test_gammas_match_finite_differences(a, d, E):
     bad = np.zeros(1, bool)
     terms = closedform._terms(ks, qs, as_, ds, bad)
     scaled = (
-        *closedform._scaled_alpha_beta(ks, qs, terms),
+        *closedform._scaled_alpha_beta(ks, ks, qs, terms),
         *closedform._scaled_gammas(ks, qs, as_, ds, terms, bad),
     )
     assert not bad[0]

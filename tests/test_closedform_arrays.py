@@ -1,10 +1,14 @@
 """The array closed forms against a frozen copy of the scalar formulas.
 
-The ``_oracle_*`` functions below are the scalar closed forms as they
-stood before the array core replaced them: plain CPython float and
-complex arithmetic and the math/cmath modules, one parameter set at a
-time. The array core must reproduce them bit for bit, and must flag a row
-exactly where they raise or give a non-finite time.
+The ``_oracle_*`` functions below are the scalar closed forms in plain
+CPython float and complex arithmetic and the math/cmath modules, one
+parameter set at a time. The times, alpha, beta and the gammas are frozen
+as they stood before the array core replaced them. The transmission
+probability, 16 k^4 q^4 e^{-4qa} / (alpha^2 + beta^2), and the shifted
+amplitude, 4i k p q^2 e^{-2qa} e^{-ik(2a+d)} / (-beta + i alpha), are
+frozen as they stood when they came to be taken from alpha and beta. The
+array core must reproduce them bit for bit, and must flag a row exactly
+where they raise, give a non-finite time or a t_whole of zero.
 """
 
 import cmath
@@ -132,6 +136,9 @@ def _oracle_times(V0, a, d, E, m, hbar):
         raise InvalidParameterError("float range") from exc
     if not all(map(math.isfinite, (t_whole, t_between, t_barriers, t_opaque))):
         raise InvalidParameterError("float range")
+    # a dwell time of zero has underflowed
+    if t_whole == 0.0:
+        raise InvalidParameterError("float range")
     # Unlike the frozen formulas, a wide-barrier form that raises (sin 2kd
     # of an infinite 2kd, a zero res_den ** 2) is NaN, like at a
     # resonance, rather than failing the whole set.
@@ -158,19 +165,13 @@ def _oracle_times(V0, a, d, E, m, hbar):
 def _oracle_amplitude(V0, a, d, E, m, hbar, coupling=0.0):
     p, q = _oracle_wavenumbers(V0, E, m, hbar, coupling)
     k = math.sqrt(2.0 * m * E) / hbar
-    sin_pd = math.sin(p * d)
-    cos_pd = math.cos(p * d)
+    alpha, beta = _oracle_alpha_beta(k, p, q, a, d)
     nh = math.exp(-2.0 * q * a)
-    denom = (
-        2.0 * sin_pd * (k * k + q * q) * (p * p + q * q) * nh
-        - (k - 1j * q) ** 2
-        * (2.0 * p * q * cos_pd + (p * p - q * q) * sin_pd)
-        * nh
-        * nh
-        - (q - 1j * k) ** 2 * (2.0 * p * q * cos_pd - (p * p - q * q) * sin_pd)
-    )
-    numer = 8j * k * p * q * q * cmath.exp(-1j * (2.0 * a + d) * k) * nh
-    return numer / denom
+    amplitude = (4j * k * p * q * q * nh * cmath.exp(-1j * (2.0 * a + d) * k)
+                 / complex(-beta, alpha))
+    if not (math.isfinite(alpha) and math.isfinite(beta) and cmath.isfinite(amplitude)):
+        raise InvalidParameterError("float range")
+    return amplitude
 
 
 def _oracle_proximity(V0, d, E, m, hbar):
@@ -185,7 +186,10 @@ def _oracle_row(V0, a, d, E, m, hbar):
     try:
         _oracle_validate(V0, a, d, E)
         t = _oracle_times(V0, a, d, E, m, hbar)
-        trans_prob = abs(_oracle_amplitude(V0, a, d, E, m, hbar)) ** 2
+        k, q = _oracle_wavenumbers(V0, E, m, hbar)
+        alpha, beta = _oracle_alpha_beta(k, k, q, a, d)
+        nh = math.exp(-2.0 * q * a)
+        trans_prob = (4.0 * k * k * q * q * nh / abs(complex(alpha, beta))) ** 2
         flag = _oracle_proximity(V0, d, E, m, hbar) < NEAR_RESONANCE_CUTOFF
     except (ArithmeticError, ValueError):
         return None
@@ -280,6 +284,9 @@ def _outcome(function, *args):
 @example(point=(1.0, 1e-161, 1e38, 1e-87), units=(1.0, 1.0), coupling_fraction=0.0)
 # infinite wavenumbers: the proximity is NaN
 @example(point=(0.03125, 1.0, 1.0, 0.015625), units=(1.0, 5e-324), coupling_fraction=0.0)
+# q * q overflows: alpha, beta and the amplitude leave the float range
+@example(point=(0.018, 10.0, 10.0, 0.01), units=(1.0, 1e-300), coupling_fraction=0.0)
+@example(point=(1e308, 10.0, 10.0, 0.01), units=(1.0, 1.0), coupling_fraction=0.0)
 def test_point_wrappers_equal_the_scalar_oracle(point, units, coupling_fraction):
     mass, hbar = units
     V0, a, d, E = point
@@ -302,6 +309,8 @@ def test_point_wrappers_equal_the_scalar_oracle(point, units, coupling_fraction)
     got = _outcome(perturbed_amplitude, params, coupling)
     assert (got is None) == (expected is None)
     if got is not None:
+        # a number or an error, never NaN or infinity
+        assert cmath.isfinite(got)
         assert _same(got.real, expected.real) and _same(got.imag, expected.imag)
     expected = _outcome(_oracle_proximity, V0, d, E, mass, hbar)
     got = _outcome(near_resonance, params)

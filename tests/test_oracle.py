@@ -326,6 +326,27 @@ def test_closed_forms_meet_the_contract(case):
     assert _breaks(errors, flagged) <= excused
 
 
+@settings(PROPERTY, max_examples=100)
+@given(v0=_floats(0.005, 0.05), a=_floats(0.5, 30.0), d=_floats(0.5, 50.0),
+       fraction=_floats(0.02, 0.98), shift=_floats(-0.9, 0.9))
+def test_perturbed_amplitude_meets_the_reference(v0, a, d, fraction, shift):
+    # the coupling c shifts the whole region (0, 2a + d); at c = 0, grid's
+    # trans_prob is the amplitude's squared modulus
+    energy = fraction * v0
+    coupling = shift * min(energy, v0 - energy)
+    params = closedform.DoubleBarrierParams(V0=v0, a=a, d=d, E=energy)
+    with mp.workdps(oracle.DIGITS):
+        gap_end = mp.fadd(a, d, exact=True)
+        end = mp.fadd(gap_end, a, exact=True)
+        ref = oracle.reference((0.0, mpf(a), gap_end, end),
+                               (v0 + coupling, coupling, v0 + coupling), energy, 0.0, end)
+    amplitude = closedform.perturbed_amplitude(params, coupling)
+    assert relative_error(amplitude, ref.transmission) <= SOLVE_TOLERANCE
+    trans_prob = float(closedform.grid(v0, a, d, energy).trans_prob[0])
+    squared = abs(closedform.perturbed_amplitude(params)) ** 2
+    assert relative_error(trans_prob, squared) <= SOLVE_TOLERANCE
+
+
 @settings(PROPERTY, max_examples=40)
 @given(case=cases(), fractions=st.lists(st.floats(-0.99, 0.99), min_size=1, max_size=5))
 def test_rotor_levels_meet_the_contract(case, fractions):

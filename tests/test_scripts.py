@@ -68,3 +68,31 @@ def test_fig1_data_writes_both_panels(tmp_path, capsys):
         # the summary counts the flagged rows of the CSV it wrote
         flagged = sum(line.endswith(",1") for line in lines[1:])
         assert f"panel {panel} (a={a}): {flagged} flagged peak points" in out
+
+
+def test_cell_diff_of_a_tree_against_itself_reports_no_change(tmp_path, capsys):
+    # each tree runs in its own subprocess, so keep to a few calls
+    root = str(SCRIPTS.parent)
+    script = _load("cell_diff")
+    workloads = script._workloads()
+    inputs = workloads.make_inputs("sweep-closedform", 1)
+    calls = [list(call.argv) for call in workloads.write_inputs(inputs, str(tmp_path))][:6]
+    old, new = script.run_trees([root, root], calls, str(tmp_path))
+    assert not script.report(*script.compare(calls, old, new), len(calls))
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("6 calls, ")
+    assert lines[1:] == ["no cell changed",
+                         "0 calls differ in exit code, stderr, comments or table shape"]
+
+
+def test_cell_diff_counts_changes_per_column():
+    script = _load("cell_diff")
+    header = "# comment\nx,t,flag\n"
+    old = [(0, header + "1,2.0,0\n2,NA,1\n3,4.0,0\n", ""), (2, "", "error\n")]
+    new = [(0, header + "1,2.5,0\n2,7.0,1\n3,NA,0\n", ""), (2, "", "other error\n")]
+    columns, rows, differing = script.compare([["a"], ["b", "c"]], old, new)
+    assert rows == 3
+    t = columns["t"]
+    assert (t.changed, t.worst, t.to_number, t.to_na) == (3, 0.25, 1, 1)
+    assert columns["x"].changed == columns["flag"].changed == 0
+    assert differing == ["b c: stderr 'error' -> 'other error'"]

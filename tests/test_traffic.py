@@ -10,37 +10,23 @@ benchmarks/workloads.py re-records them all.
 
 import contextlib
 import hashlib
-import importlib.util
 import io
 import json
-import sys
-from pathlib import Path
 
 import pytest
+from test_scripts import _load
 
 from tunnelclock.cli import main
 
-WORKLOADS_PY = Path(__file__).resolve().parents[1] / "benchmarks" / "workloads.py"
-
-
-def _workloads():
-    spec = importlib.util.spec_from_file_location("_bench_workloads", WORKLOADS_PY)
-    module = importlib.util.module_from_spec(spec)
-    # dataclasses look their module up in sys.modules
-    sys.modules[spec.name] = module
-    spec.loader.exec_module(module)
-    return module
-
-
-workloads = _workloads()
+workloads = _load("cell_diff")._workloads()
 
 # The temporary directory, which potential-file rows and messages name.
 DIR_TOKEN = "DIR"
 
 TRAFFIC_SHA256 = {
-    ("sweep-closedform", 1): "9df9f4ec4e0119441f6c9a315f1a2f2e36433e04679cc0f9b5ef0c68c7b9d72c",
-    ("sweep-closedform", 2): "f35294f6dab9415e19fb24d8c903006fa430c9bc3e773d133db86ebb11e85485",
-    ("sweep-closedform", 3): "bdc29228293706c5f6cf344cb89e01b67920d14221374f2aee3eb480398b6879",
+    ("sweep-closedform", 1): "b0c251ed667762a427a1ea637c65e5688cbf484d50d2c84a17486d79713b2668",
+    ("sweep-closedform", 2): "8078a2fedba994cce0c864d8c3b2ee48b458ce9bf2c9a1cad3e0937d34ee758a",
+    ("sweep-closedform", 3): "1c1b18e0ff84a9ff1db94f760bdbb1ffe0b20b1de9f7b83007ec10d6302b399a",
     ("stack-generic", 1): "129a36dd18033dd22caeeff306d913bb9c976d5e686bf98f75153cd614bbdd9d",
     ("stack-generic", 2): "8be828b1fa03812025613f007a6aedab91d6bd586095244b3377d71a4716724d",
     ("stack-generic", 3): "66400e9acf29ec2a5d9ddcfa70e4d17dfa93c448ab2171c26e24aeaaea4a5f0e",
