@@ -10,19 +10,20 @@ so results do not depend on how many are evaluated at once:
 
 - numpy does only + - * /, sqrt, comparisons, ``where`` and ``hypot``.
   These round exactly like CPython's float operations and the libm
-  ``hypot`` that CPython's complex ``abs`` calls.
-- exp, log, sin, cos, atan2 and every ``x ** 2`` run per element through
-  the math module and float pow. numpy's own transcendental functions,
-  and its ``x ** 2`` (an exact x * x where libm's pow(x, 2) may round the
-  other way), differ from them in the last bit.
+  ``hypot`` that CPython's complex ``abs`` calls. A square is the
+  product x * x, which is exact.
+- exp, sin and cos run per element through the math module. numpy's own
+  transcendental functions differ from them in the last bit.
 - Complex values are (real, imag) pairs combined by CPython 3.11's rules:
   a float operand of a complex operation is taken as (x, 0.0); the
   product (ac - bd, ad + bc); Smith's quotient; exp(z) as e^re (cos, sin)
   of im; abs as hypot. numpy's complex product rounds differently.
-- Where the scalar arithmetic raises (a square that overflows, an
-  exponential out of range, a zero divisor), the element is marked in a
-  bad mask instead, every element that the failing operand broadcasts to.
-  Callers run the arithmetic with numpy's warnings off.
+- In the complex operations that scattering's lanes use, where the
+  scalar arithmetic raises (an exponential out of range, a zero divisor),
+  the element is marked in a bad mask instead, every element that the
+  failing operand broadcasts to. closedform needs no such mask: its real
+  arithmetic raises nowhere, and it marks a set by its results. Callers
+  run the arithmetic with numpy's warnings off.
 """
 
 from __future__ import annotations

@@ -5,7 +5,8 @@ set and the units convention, then one fixed header line, then rows.
 Floats are printed with 17 significant digits so values round-trip
 exactly; reruns with identical flags produce byte-identical output.
 Undefined entries are the literal token NA and set the row's flag column,
-as do clock times that fail the dwell decomposition check.
+as do clock times that fail the dwell decomposition check, and closed-form
+times near a resonance or below zero.
 
 Exit codes: 0 success (flagged rows included), 2 argument/validation
 problems, 1 numerical failure, out of memory or a failed write.
@@ -200,7 +201,8 @@ def _double_barrier_rows(
     are E, V0, a and d. Each is a float, the same on every row, or the one
     grid array, which may appear more than once. The grid goes through
     closedform.grid in one pass, which gives NaN, printed NA, wherever a
-    value is undefined, and its cells through one pass of _cells.rows.
+    value is undefined, and its cells through one pass of _cells.rows; a
+    row's flag is closedform._flags'.
     """
     import numpy as np
 
@@ -211,7 +213,7 @@ def _double_barrier_rows(
     text = _cells.rows(
         [_fmt(c) if isinstance(c, float) else c for c in lead],
         np.array([g.t_whole, g.t_between, g.t_barriers, g.t_opaque, g.trans_prob]).T,
-        g.proximity < closedform.NEAR_RESONANCE_CUTOFF,
+        closedform._flags(g),
     )
     return [text], g.ok
 

@@ -18,10 +18,11 @@ the same code at one set, and forms the complex amplitude from them in
 plain complex arithmetic. The arrays round like scalar CPython
 arithmetic (see ``_arith``), so each element equals, bit for bit, what
 that parameter set alone gives, and the 17-digit CSV does not depend on
-how many points are evaluated at once. Where the scalar arithmetic
-would raise, the set is marked in a mask instead and its values are NaN.
-``times`` and ``near_resonance`` read ``grid`` at their one set, so they
-raise exactly where it marks that set, as the CLI does.
+how many points are evaluated at once. A set outside the tunneling
+regime, or whose times or transmission probability are not finite, is
+marked in a mask and its values are NaN. ``times`` and ``near_resonance``
+read ``grid`` at their one set, so they raise exactly where it marks that
+set, as the CLI does.
 """
 
 from __future__ import annotations
@@ -132,12 +133,12 @@ class DoubleBarrierGrid:
     """Closed forms over a grid of parameter sets, one element per set in
     every field, whichever parameters were given as one float.
 
-    ok is False where the set leaves the tunneling regime, where the
-    scalar times, trans_prob or proximity would raise for it, where a time
-    is not finite, or where t_whole underflowed to zero; times raises
-    exactly there.
+    ok is False where the set leaves the tunneling regime, where a time
+    or trans_prob is not finite, or where t_whole underflowed to zero;
+    times raises exactly there.
     The times and trans_prob are NaN there. proximity is NaN outside the
-    tunneling regime and where it is undefined; near_resonance raises there.
+    tunneling regime, and NaN or infinite where kd is infinite or k^2 + q^2
+    leaves the float range; near_resonance raises there.
     """
 
     t_whole: np.ndarray
@@ -150,7 +151,8 @@ class DoubleBarrierGrid:
 
 
 class _Terms(NamedTuple):
-    """sin pd and cos pd, and cosh 2qa, sinh 2qa and 1 scaled by e^{-2qa}."""
+    """sin pd and cos pd (NaN where pd is infinite), and cosh 2qa, sinh 2qa
+    and 1 scaled by e^{-2qa}."""
 
     sin: np.ndarray
     cos: np.ndarray
@@ -165,42 +167,14 @@ def _arrays(*values) -> list[np.ndarray]:
     return [np.atleast_1d(np.asarray(v, float)) for v in values]
 
 
-def _each_finite(function, x: np.ndarray, bad: np.ndarray) -> np.ndarray:
-    """math.sin or math.cos per element; marks bad where x is infinite,
-    where they raise."""
-    infinite = np.isinf(x)
-    bad |= infinite
-    return _each(function, np.where(infinite, np.nan, x))
-
-
-# Float pow with exponent 2, as x ** 2 computes it.
-_SQUARE = (2.0).__rpow__
-
-
-def _square(x: np.ndarray, bad: np.ndarray) -> np.ndarray:
-    """x ** 2 per element; marks bad where it overflows, where it raises.
-
-    Below 1e154 the square cannot overflow, so only the elements above
-    take the checked per-element path.
-    """
-    large = np.abs(x) >= 1e154
-    y = _each(_SQUARE, np.where(large, 0.0, x))
-    failed = np.zeros(x.shape, bool)
-    for i in np.flatnonzero(large):
-        try:
-            y[i] = float(x[i]) ** 2
-        except OverflowError:
-            failed[i] = True
-    bad |= failed
-    return y
-
-
-def _terms(p, q, a, d, bad: np.ndarray) -> _Terms:
+def _terms(p, q, a, d) -> _Terms:
     x = _each(math.exp, -4.0 * q * a)
-    phase = p * d
+    # math.sin and math.cos raise at an infinite phase and pass NaN, so an
+    # infinite phase is NaN here, and so is everything formed from it.
+    phase = np.where(np.isinf(p * d), np.nan, p * d)
     return _Terms(
-        _each_finite(math.sin, phase, bad),
-        _each_finite(math.cos, phase, bad),
+        _each(math.sin, phase),
+        _each(math.cos, phase),
         0.5 * (1.0 + x),
         0.5 * (1.0 - x),
         _each(math.exp, -2.0 * q * a),
@@ -222,7 +196,7 @@ def _scaled_alpha_beta(k, p, q, t: _Terms):
     return alpha, beta
 
 
-def _scaled_gammas(k, q, a, d, t: _Terms, bad: np.ndarray):
+def _scaled_gammas(k, q, a, d, t: _Terms):
     """Zero-coupling derivatives of (alpha, beta), scaled by e^{-2qa}.
 
     gamma1 = d beta / d p, gamma2 = d alpha / d p (gap wavenumber),
@@ -232,8 +206,8 @@ def _scaled_gammas(k, q, a, d, t: _Terms, bad: np.ndarray):
     ch, sh, nh = t.ch, t.sh, t.nh
     k2, q2 = k * k, q * q
     sin_kd, cos_kd = t.sin, t.cos
-    sum2 = _square(q2 + k2, bad)
-    diff2 = _square(q2 - k2, bad)
+    sum2 = (q2 + k2) * (q2 + k2)
+    diff2 = (q2 - k2) * (q2 - k2)
     g1 = (
         (-2.0 * k * (q2 + k2) * sin_kd - d * sum2 * cos_kd) * nh
         + 2.0 * q * (q2 - k2) * cos_kd * sh
@@ -274,8 +248,7 @@ def _scaled_gammas(k, q, a, d, t: _Terms, bad: np.ndarray):
 
 def _times(k, q, a, d, units: UnitsConfig, t: _Terms, bad: np.ndarray):
     """(t_whole, t_between, t_barriers, t_opaque, trans_prob); marks bad
-    where a time is not finite or its arithmetic would raise, and where
-    t_whole is zero.
+    where a time or trans_prob is not finite, and where t_whole is zero.
 
     A structure of positive width holds the particle for a positive time,
     so a zero t_whole has underflowed. trans_prob is |T|^2 with
@@ -283,7 +256,7 @@ def _times(k, q, a, d, units: UnitsConfig, t: _Terms, bad: np.ndarray):
     """
     m, hbar = units.mass, units.hbar
     alpha, beta = _scaled_alpha_beta(k, k, q, t)
-    g1, g2, g3, g4 = _scaled_gammas(k, q, a, d, t, bad)
+    g1, g2, g3, g4 = _scaled_gammas(k, q, a, d, t)
     h1 = alpha * g1 - beta * g2
     h2 = alpha * g3 - beta * g4
     denom = alpha * alpha + beta * beta
@@ -292,13 +265,14 @@ def _times(k, q, a, d, units: UnitsConfig, t: _Terms, bad: np.ndarray):
     t_whole = t_between + t_barriers
     k2, q2 = k * k, q * q
     t_opaque = 2.0 * m * k / (hbar * q * (k2 + q2))
-    # A zero divisor above, where the scalar arithmetic raises, leaves its
-    # time infinite or NaN, so this check covers it. Where |alpha + i beta|
+    size = 4.0 * k * k * q * q * t.nh / np.hypot(alpha, beta)
+    trans_prob = size * size
+    # A zero divisor above, an overflow or a NaN phase leaves a value
+    # infinite or NaN, so this check covers them. Where |alpha + i beta|
     # overflows, so does denom, and t_whole is zero or NaN.
-    for value in (t_whole, t_between, t_barriers, t_opaque):
+    for value in (t_whole, t_between, t_barriers, t_opaque, trans_prob):
         bad |= ~np.isfinite(value)
     bad |= t_whole == 0.0
-    trans_prob = _square(4.0 * k * k * q * q * t.nh / np.hypot(alpha, beta), bad)
     return t_whole, t_between, t_barriers, t_opaque, trans_prob
 
 
@@ -308,7 +282,7 @@ def _asymptotic(k, q, d, units: UnitsConfig, t: _Terms) -> np.ndarray:
     _times did not mark bad."""
     m, hbar = units.mass, units.hbar
     k2, q2 = k * k, q * q
-    res_den = (k2 - q2) * t.sin - 2.0 * k * q * t.cos
+    res_den = _resonance_denominator(k, q, t)
     # The form takes sin 2kd, which raises where 2kd is infinite, and
     # divides by res_den ** 2. Where either fails the form is NaN, like at
     # a resonance, and the printed times stand. Its other divisor, k2 + q2,
@@ -324,18 +298,17 @@ def _asymptotic(k, q, d, units: UnitsConfig, t: _Terms) -> np.ndarray:
     return (4.0 * m * q2 / hbar) * t.nh / (k2 + q2) * numer / (res_den * res_den)
 
 
-def _proximity(k, q, d, bad: np.ndarray) -> np.ndarray:
-    """|sin(kd - phi0)|: scaled distance from perfect-transmission spacing;
-    marks bad where kd - phi0 is infinite.
+def _resonance_denominator(k, q, t: _Terms) -> np.ndarray:
+    """(k^2 - q^2) sin kd - 2kq cos kd, which vanishes at the transmission
+    resonances; t holds the terms of k and q.
 
-    The resonance condition in the inter-barrier spacing d reads
-    (k^2 - q^2) sin(kd) = 2kq cos(kd), i.e. sin(kd - phi0) = 0 with
-    tan(phi0) = 2kq/(k^2 - q^2). Squared, this is the factor by which
-    near-resonance terms are enhanced, so the proximity is directly the
-    relevant smallness scale. Range [0, 1]; 0 exactly on resonance.
+    It equals (k^2 + q^2) sin(kd - phi0) with tan phi0 = 2kq / (k^2 - q^2),
+    so divided by k^2 + q^2 it is the resonance proximity |sin(kd - phi0)|:
+    the scaled distance from a perfect-transmission spacing, in [0, 1] and
+    0 on resonance. Squared, it is the factor by which near-resonance
+    terms are enhanced, so it is directly the relevant smallness scale.
     """
-    phi0 = _each(math.atan2, 2.0 * k * q, k * k - q * q)
-    return np.abs(_each_finite(math.sin, k * d - phi0, bad))
+    return (k * k - q * q) * t.sin - 2.0 * k * q * t.cos
 
 
 def grid(V0, a, d, E, units: UnitsConfig = NATURAL_UNITS) -> DoubleBarrierGrid:
@@ -359,11 +332,24 @@ def grid(V0, a, d, E, units: UnitsConfig = NATURAL_UNITS) -> DoubleBarrierGrid:
         bad = ~regime
         k = np.sqrt(2.0 * m * E) / hbar
         q = np.sqrt(2.0 * m * (V0 - E)) / hbar
-        t = _terms(k, q, a, d, bad)
+        t = _terms(k, q, a, d)
         values = _times(k, q, a, d, units, t, bad)
-        proximity = _proximity(k, q, d, bad)
+        proximity = np.abs(_resonance_denominator(k, q, t)) / (k * k + q * q)
     return DoubleBarrierGrid(*(np.where(bad, np.nan, v) for v in values),
                              np.where(regime, proximity, np.nan), ~bad)
+
+
+def _flags(g: DoubleBarrierGrid) -> np.ndarray:
+    """Where a closed-form CSV row reads flag 1, besides its NA cells:
+    near a transmission resonance, or where t_between or t_barriers is
+    negative.
+
+    Each of the three times is a dwell time, so none can be negative; a
+    negative one has lost its digits to cancellation. Rounding is
+    monotone, so t_whole = fl(t_between + t_barriers) is then also at
+    least t_between.
+    """
+    return (g.proximity < NEAR_RESONANCE_CUTOFF) | (g.t_between < 0.0) | (g.t_barriers < 0.0)
 
 
 def _shifted_wavenumbers(params: DoubleBarrierParams, coupling: float) -> tuple[float, float]:
@@ -391,12 +377,11 @@ def perturbed_amplitude(params: DoubleBarrierParams, coupling: float = 0.0) -> c
     float range."""
     p, q = _shifted_wavenumbers(params, coupling)
     k, a, d = params.k, params.a, params.d
-    bad = np.zeros(1, bool)
     with np.errstate(all="ignore"):
-        t = _terms(*_arrays(p, q, a, d), bad)
+        t = _terms(*_arrays(p, q, a, d))
         alpha, beta = _scaled_alpha_beta(*_arrays(k, p, q), t)
     alpha, beta = float(alpha[0]), float(beta[0])
-    if not bad[0] and math.isfinite(alpha) and math.isfinite(beta):
+    if math.isfinite(alpha) and math.isfinite(beta):
         try:
             amplitude = (4j * k * p * q * q * float(t.nh[0]) * cmath.exp(-1j * (2.0 * a + d) * k)
                          / complex(-beta, alpha))
@@ -417,16 +402,15 @@ def times(params: DoubleBarrierParams) -> DoubleBarrierTimes:
     barriers. t_whole = t_between + t_barriers holds identically.
 
     Raises InvalidParameterError exactly where grid marks the set, as the
-    CLI does: where the times leave the float range or t_whole underflows
-    to zero, or where the transmission probability or the proximity would
-    raise.
+    CLI does: where the times or the transmission probability leave the
+    float range, or t_whole underflows to zero.
     """
     g = grid(params.V0, params.a, params.d, params.E, params.units)
     if not g.ok[0]:
         raise params.float_range_error()
     k, q, a, d = _arrays(params.k, params.q, params.a, params.d)
     with np.errstate(all="ignore"):
-        asymptotic = _asymptotic(k, q, d, params.units, _terms(k, q, a, d, np.zeros(1, bool)))
+        asymptotic = _asymptotic(k, q, d, params.units, _terms(k, q, a, d))
     values = (g.t_whole, g.t_between, g.t_barriers, g.t_opaque, asymptotic)
     return DoubleBarrierTimes(*(float(v[0]) for v in values))
 
@@ -441,9 +425,11 @@ def near_resonance(params: DoubleBarrierParams) -> bool:
     """True when the spacing sits close enough to a transmission resonance
     that d-comparisons across different barrier widths are dominated by
     the peaks rather than the plateaus: grid's proximity at the set is
-    below NEAR_RESONANCE_CUTOFF. Raises where that proximity is NaN."""
+    below NEAR_RESONANCE_CUTOFF. Raises where that proximity is not
+    finite: where kd is infinite or k^2 + q^2 leaves the float range, all
+    sets where times raises too."""
     proximity = float(grid(params.V0, params.a, params.d, params.E, params.units).proximity[0])
-    if math.isnan(proximity):
+    if not math.isfinite(proximity):
         raise params.float_range_error("proximity values")
     return proximity < NEAR_RESONANCE_CUTOFF
 

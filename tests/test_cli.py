@@ -98,6 +98,20 @@ def test_times_near_resonance_flagged(tmp_path):
     assert rows[0][-1] == "1"
 
 
+def test_times_negative_time_flagged(tmp_path):
+    # wide barriers: the 50-digit t_between is 9.8e-26, the closed form
+    # prints about -1.65e-15, and a negative dwell time is flagged
+    code, text = run_to_file(
+        tmp_path,
+        ["times", "--E", "0.0167", "--V0", "0.029", "--a", "200", "--d", "15.9"],
+    )
+    assert code == 0
+    header, rows = parse_csv(text)
+    row = dict(zip(header, rows[0]))
+    assert as_float(row["t_between"]) < 0.0
+    assert row["flag"] == "1"
+
+
 def test_times_rerun_byte_identical(tmp_path):
     argv = ["times", "--E", "0.01", "--V0", "0.018", "--a", "10", "--d", "10"]
     _, first = run_to_file(tmp_path, argv, "a.csv")
@@ -443,13 +457,15 @@ GOLDEN_SHA256 = [
     # per-point scalar closed forms before they became one array pass, and
     # re-recorded after a cell-by-cell diff when trans_prob came to be
     # taken from alpha and beta; the E sweep's first six rows, whose times
-    # underflowed to zero, then became NA
+    # underflowed to zero, then became NA. The fig1 grids' trans_prob moved
+    # in the last bit when its square became a product, and the a sweep's
+    # row at a = 1e-300, whose t_barriers is negative, came to be flagged
     ("fig1 --panel a --count 20000",
-     "0caf2e1ef84d7e128075d87570cde626e593f45e3fb4e18f7d82beff98891c4c"),
+     "e03a10651953a06f8b0ac387dbee0cea0be6630f5dc425b0252abef3332fdbb1"),
     ("fig1 --panel b --count 20000 --mass 3 --hbar 0.37",
-     "fd3be046f5dc6f05f3905905d4293d9c1b60892c812f713e01bd652eafcf3308"),
+     "38cec599a96dde70d4418488cb1b1a35efedb6d7057653e295ff21790e1a7746"),
     ("sweep --axis a --start 1e-300 --stop 1e300 --count 9 --E 0.01 --V0 0.018 --d 10",
-     "298cb02e5dfb7c49b354649372d09e80dd94aaa7e8d377a0962f645aab5c5c4e"),
+     "5bfa79ae01f4ea6179f1cb02aceba633a93321ead0420335cf80b6620834d5f5"),
     ("sweep --axis E --start 1e-320 --stop 1e-300 --count 7 --V0 0.018 --a 10 --d 10",
      "c69a40d84c4c44e8a03e89b0da588cb30da4cacec632d9f25afae70a35362300"),
     # recorded with one scalar sweep per level before the levels became a

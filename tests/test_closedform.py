@@ -217,13 +217,11 @@ def test_gammas_match_finite_differences(a, d, E):
     alpha = _unscaled_alpha(k, a, d)
     beta = _unscaled_beta(k, a, d)
     ks, qs, as_, ds = (np.array([x]) for x in (k, q, a, d))
-    bad = np.zeros(1, bool)
-    terms = closedform._terms(ks, qs, as_, ds, bad)
+    terms = closedform._terms(ks, qs, as_, ds)
     scaled = (
         *closedform._scaled_alpha_beta(ks, ks, qs, terms),
-        *closedform._scaled_gammas(ks, qs, as_, ds, terms, bad),
+        *closedform._scaled_gammas(ks, qs, as_, ds, terms),
     )
-    assert not bad[0]
     scale = math.exp(2.0 * q * a)
     alpha0, beta0, *gammas = (float(x[0]) * scale for x in scaled)
     assert alpha0 == pytest.approx(alpha(k, q), rel=1e-12)

@@ -1,11 +1,13 @@
 """The closed-form array code calls no numpy transcendental or power.
 
-numpy's exp, log, sin, cos, atan2 and x ** 2 differ from libm's, which
-CPython's math module and float pow call, in the last bit (see the
-``_arith`` docstring). closedform and _arith take those per element
-through the math module, so every array element equals the scalar
+numpy's exp, sin and cos differ from libm's, which CPython's math module
+calls, in the last bit (see the ``_arith`` docstring). closedform and
+_arith take those per element through the math module, and square by
+the exact product x * x, so every array element equals the scalar
 arithmetic bit for bit. This test keeps it that way, also where an
 expression runs only once per call and a numpy call would look harmless.
+It still forbids numpy's power and square, so that each square stays the
+plain product that the frozen oracle spells out.
 """
 
 import ast

@@ -179,7 +179,8 @@ def generic_outputs(potential, region, energy, units):
 def closed_form_outputs(v0, a, d, energy, units=UnitsConfig()):
     """As generic_outputs, for the closed forms of grid at one set, with
     the reference times in place of the reference; none where grid gives
-    NaN. A closed-form row is flagged near a resonance."""
+    NaN. A closed-form row is flagged as the CLI flags it: near a
+    resonance, or where t_between or t_barriers is negative."""
     g = closedform.grid(v0, a, d, energy, units)
     if not g.ok[0]:
         return {}, True, None
@@ -201,7 +202,7 @@ def closed_form_outputs(v0, a, d, energy, units=UnitsConfig()):
         }
     errors = {name: (relative_error(float(getattr(g, name)[0]), exact), TIME_TOLERANCE)
               for name, exact in expected.items()}
-    return errors, bool(g.proximity[0] < closedform.NEAR_RESONANCE_CUTOFF), expected
+    return errors, bool(closedform._flags(g)[0]), expected
 
 
 def _breaks(errors, flagged):
@@ -326,6 +327,28 @@ def test_closed_forms_meet_the_contract(case):
     assert _breaks(errors, flagged) <= excused
 
 
+@settings(PROPERTY, max_examples=150)
+@given(case=double_barriers())
+def test_resonance_proximity_meets_the_reference(case):
+    # grid takes |sin(kd - phi0)| from the resonance denominator; the
+    # reference takes it from phi0 = atan2(2kq, k^2 - q^2) at 50 digits,
+    # from the same float inputs
+    _, v0, a, d, energy = case
+    if not energy < v0:
+        return
+    units = UnitsConfig()
+    proximity = float(closedform.grid(v0, a, d, energy, units).proximity[0])
+    with mp.workdps(oracle.DIGITS):
+        m, hbar = mpf(units.mass), mpf(units.hbar)
+        k = mp.sqrt(2 * m * mpf(energy)) / hbar
+        q = mp.sqrt(2 * m * (mpf(v0) - mpf(energy))) / hbar
+        ref = float(abs(mp.sin(k * mpf(d) - mp.atan2(2 * k * q, k * k - q * q))))
+    assert abs(proximity - ref) <= 1e-12, (proximity, ref)
+    cutoff = closedform.NEAR_RESONANCE_CUTOFF
+    if abs(ref - cutoff) > 1e-12:
+        assert (proximity < cutoff) == (ref < cutoff)
+
+
 @settings(PROPERTY, max_examples=100)
 @given(v0=_floats(0.005, 0.05), a=_floats(0.5, 30.0), d=_floats(0.5, 50.0),
        fraction=_floats(0.02, 0.98), shift=_floats(-0.9, 0.9))
@@ -380,13 +403,9 @@ KNOWN_BREAKS = [
     _known_break(41, "wrong T beside a thin, tall barrier",
                  lambda: _generic(PiecewiseConstantPotential((0.0, 1e-300, 3.0), (1e30, 0.0)),
                                   0.01, 0.0, 3.0)),
-    _known_break(43, "t_barriers < 0 for a vanishing barrier",
-                 lambda: _closed_form(0.018, 1e-300, 10.0, 0.01)),
     _known_break(46, "closed forms within 1e-12 relative of V0",
                  lambda: _closed_form(0.03, 0.5294237758262942, 47.63260046851378,
                                       0.029999999999999995)),
-    _known_break(47, "t_between of wide barriers",
-                 lambda: _closed_form(0.029, 200.0, 15.9, 0.0167)),
     _known_break(48, "a sharp resonance, |E dlnT/dE| = 1.1e9",
                  lambda: _generic(double_barrier(0.018, 80.0, 32.53432217354091), 0.01,
                                   0.0, 192.5343221735409)),
@@ -403,3 +422,16 @@ KNOWN_BREAKS = [
 def test_known_break(outputs):
     errors, flagged = outputs()
     assert not _breaks(errors, flagged)
+
+
+@pytest.mark.parametrize("params", [
+    pytest.param((0.018, 1e-300, 10.0, 0.01), id="found-43"),
+    pytest.param((0.029, 200.0, 15.9, 0.0167), id="found-47"),
+])
+def test_negative_closed_form_times_are_flagged(params):
+    # FOUND 43 (t_barriers < 0 for a vanishing barrier) and FOUND 47
+    # (t_between of wide barriers) still print wrong times, but flagged:
+    # one of them is negative, which no dwell time can be
+    errors, flagged = _closed_form(*params)
+    assert flagged
+    assert {name for name, (error, tolerance) in errors.items() if not error <= tolerance}

@@ -24,9 +24,9 @@ workloads = _load("cell_diff")._workloads()
 DIR_TOKEN = "DIR"
 
 TRAFFIC_SHA256 = {
-    ("sweep-closedform", 1): "b0c251ed667762a427a1ea637c65e5688cbf484d50d2c84a17486d79713b2668",
-    ("sweep-closedform", 2): "8078a2fedba994cce0c864d8c3b2ee48b458ce9bf2c9a1cad3e0937d34ee758a",
-    ("sweep-closedform", 3): "1c1b18e0ff84a9ff1db94f760bdbb1ffe0b20b1de9f7b83007ec10d6302b399a",
+    ("sweep-closedform", 1): "f888827b33ebddfeba4345d8483378b98586f2266d5c07f73ade3742a9200147",
+    ("sweep-closedform", 2): "a52f508885ba668b466d5938e743ab12bc19e472860046f479212b10e4d6470b",
+    ("sweep-closedform", 3): "7d8a9032042146f40343907db47e59739f3d03bf69f5104258315cb661a04341",
     ("stack-generic", 1): "129a36dd18033dd22caeeff306d913bb9c976d5e686bf98f75153cd614bbdd9d",
     ("stack-generic", 2): "8be828b1fa03812025613f007a6aedab91d6bd586095244b3377d71a4716724d",
     ("stack-generic", 3): "66400e9acf29ec2a5d9ddcfa70e4d17dfa93c448ab2171c26e24aeaaea4a5f0e",
