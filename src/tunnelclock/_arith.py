@@ -100,11 +100,3 @@ def _cexp(z, bad: np.ndarray):
             failed[i] = True
     bad |= failed
     return re, im
-
-
-def _cabs(z, bad: np.ndarray) -> np.ndarray:
-    """abs of a complex per element: infinite if a part is, NaN if a part
-    is NaN, else hypot; marks bad where hypot overflows, where it raises."""
-    h = np.hypot(z[0], z[1])
-    bad |= np.isfinite(z[0]) & np.isfinite(z[1]) & np.isinf(h)
-    return np.where(np.isinf(z[0]) | np.isinf(z[1]), np.inf, h)

@@ -321,6 +321,11 @@ def grid(V0, a, d, E, units: UnitsConfig = NATURAL_UNITS) -> DoubleBarrierGrid:
     range) is marked in ok instead, with NaN values. What the floats alone
     determine is evaluated once; every field is broadcast to the grid.
     """
+    return _grid(V0, a, d, E, units)[0]
+
+
+def _grid(V0, a, d, E, units: UnitsConfig):
+    """grid's result, and the k, q, d and _terms it was formed from."""
     V0, a, d, E = _arrays(V0, a, d, E)
     m, hbar = units.mass, units.hbar
     with np.errstate(all="ignore"):
@@ -336,7 +341,7 @@ def grid(V0, a, d, E, units: UnitsConfig = NATURAL_UNITS) -> DoubleBarrierGrid:
         values = _times(k, q, a, d, units, t, bad)
         proximity = np.abs(_resonance_denominator(k, q, t)) / (k * k + q * q)
     return DoubleBarrierGrid(*(np.where(bad, np.nan, v) for v in values),
-                             np.where(regime, proximity, np.nan), ~bad)
+                             np.where(regime, proximity, np.nan), ~bad), (k, q, d, t)
 
 
 def _flags(g: DoubleBarrierGrid) -> np.ndarray:
@@ -405,12 +410,11 @@ def times(params: DoubleBarrierParams) -> DoubleBarrierTimes:
     CLI does: where the times or the transmission probability leave the
     float range, or t_whole underflows to zero.
     """
-    g = grid(params.V0, params.a, params.d, params.E, params.units)
+    g, (k, q, d, t) = _grid(params.V0, params.a, params.d, params.E, params.units)
     if not g.ok[0]:
         raise params.float_range_error()
-    k, q, a, d = _arrays(params.k, params.q, params.a, params.d)
     with np.errstate(all="ignore"):
-        asymptotic = _asymptotic(k, q, d, params.units, _terms(k, q, a, d))
+        asymptotic = _asymptotic(k, q, d, params.units, t)
     values = (g.t_whole, g.t_between, g.t_barriers, g.t_opaque, asymptotic)
     return DoubleBarrierTimes(*(float(v[0]) for v in values))
 

@@ -22,12 +22,13 @@ doubles tau. Doubling is exact in floating point, so omega and the shift
 scale hbar*omega of a row are exactly half those of the row before (short
 of subnormal underflow), and level 2m of a row has the shift
 float(2m)*(s/2) == float(m)*s of level m of the row before. Before reading
-any row, a call builds one table of (T, R) for the distinct shifts of
-every row whose coupling is within bound, keyed by the shift itself; the
-rows only read it, so each distinct shift is solved once and each row
-equals its own measurement_simulation, the one-row call, bit for bit. A
-large table is solved as one batch of lanes, a small one shift by shift,
-with the same bits either way. A failing call raises the first error it
+any row, a call builds one table: a complex array with the (T, R) of
+each distinct shift of every row whose coupling is within bound, and an
+index from each shift to its row of the array. The rows only gather
+from it, so each distinct shift is solved once and each row equals its
+own measurement_simulation, the one-row call, bit for bit. A large table
+is solved as one batch of lanes, a small one shift by shift, with the
+same bits either way. A failing call raises the first error it
 meets, in this order: the halvings count, the solver's set-up, a tau past
 the float range, the first failing level in table order (row 0's levels
 in ascending m, then each later row's new shifts), the row readings.
@@ -259,15 +260,14 @@ def _shifts(rotor: ClockRotor, units: UnitsConfig) -> list[float]:
     return [float(m) * scale for m in range(-rotor.j, rotor.j + 1)]
 
 
-def _presolved(rows: list[list[float]], bound: float, levels) -> dict:
-    """The table a call reads: the result levels gives for each distinct
-    shift of every row of _shifts whose largest shift is within bound,
-    keyed by the shift in first-seen order. +0.0 and -0.0 share an entry,
-    since a height shifted by either gives every check and wavenumber the
-    same floats."""
-    shifts = list(dict.fromkeys(
-        shift for row in rows if row[-1] < bound for shift in row))
-    return dict(zip(shifts, levels(shifts)))
+def _presolved(rows: list[list[float]], bound: float, levels) -> tuple[np.ndarray, dict]:
+    """The table a call reads: the (T, R) array that levels gives for the
+    distinct shifts of every row of _shifts whose largest shift is within
+    bound, in first-seen order, and the index of each shift's row in it.
+    +0.0 and -0.0 share a row, since a height shifted by either gives
+    every check and wavenumber the same floats."""
+    shifts = dict.fromkeys(shift for row in rows if row[-1] < bound for shift in row)
+    return levels(list(shifts)), {shift: i for i, shift in enumerate(shifts)}
 
 
 def _heights(potential: PiecewiseConstantPotential, region: ClockRegion) -> np.ndarray:
@@ -284,13 +284,14 @@ def _shift_rounding(heights: np.ndarray, shifts: list[float]) -> float:
 
 
 def _reading(
-    rotor: ClockRotor, shifts: list[float], bound: float, known: dict, heights: np.ndarray
+    rotor: ClockRotor, shifts: list[float], bound: float, known: tuple[np.ndarray, dict],
+    heights: np.ndarray,
 ) -> MeasurementResult | None:
     """One reading of the rotor with the level shifts of _shifts, from
-    the table of _presolved, which holds the (T, R) of every shift of a
-    row within bound, and the _heights the shifts apply to; None where the
-    largest shift reaches bound. Every transmitted amplitude underflowing
-    raises TunnelClockError.
+    the table and index of _presolved, which hold the (T, R) of every
+    shift of a row within bound, and the _heights the shifts apply to;
+    None where the largest shift reaches bound. Every transmitted
+    amplitude underflowing raises TunnelClockError.
 
     Only measurement_simulation and measurement_series call this, so the
     coupling warning points at their caller.
@@ -307,10 +308,8 @@ def _reading(
             stacklevel=3,
         )
 
-    transmitted, reflected = (
-        np.array(channel) / math.sqrt(rotor.N)
-        for channel in zip(*(known[shift] for shift in shifts))
-    )
+    table, index = known
+    transmitted, reflected = (table[[index[shift] for shift in shifts]] / math.sqrt(rotor.N)).T
 
     t_weight = float(np.sum(np.abs(transmitted) ** 2))
     r_weight = float(np.sum(np.abs(reflected) ** 2))

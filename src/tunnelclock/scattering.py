@@ -7,9 +7,11 @@ multiplicatively; a forward substitution would reconstruct the small
 coefficient of the growing exponential inside a barrier by cancellation
 and lose it for opaque stacks. Each region's expansion is anchored at its
 own left edge, so exponentials are bounded by region widths rather than
-absolute positions, and an explicit log-scale guard covers extremely
-opaque stacks (products of barrier growth factors beyond float range)
-and single barriers whose own growth factor is beyond float range.
+absolute positions; a region step takes one exponential e^{-i kappa w},
+which multiplies the forward term and divides the backward one. An
+explicit log-scale guard covers extremely opaque stacks (products of
+barrier growth factors beyond float range) and single barriers whose own
+growth factor is beyond float range.
 
 A solution keeps the sweep's result, not the waves themselves: region
 r's normalized expansion is built on demand, and the dwell and overlap
@@ -21,9 +23,11 @@ wavenumbers reversed, so one solve serves both states.
 A clock's rotor levels need T and R of the potential shifted inside the
 clock region by many shifts at one energy: _shifted_solver runs solve's
 checks and sweep per shift, or for many shifts one batch of float64 lanes
-that equals them bit for bit (_lanes). solve keeps the scalar sweep: it
-walks one wave across up to hundreds of regions, where a one-lane batch
-would be far slower.
+that equals them bit for bit (_lanes), and returns them as one complex
+array. The lanes take the same one exponential per region, per element
+through libm, and leave the fold and the rescale to the scalar sweep.
+solve keeps the scalar sweep: it walks one wave across up to hundreds of
+regions, where a one-lane batch would be far slower.
 
 Conventions: unit amplitude incident from the left, purely outgoing wave
 on the right. Far to the left psi = e^{ikz} + R e^{-ikz}, far to the
@@ -63,10 +67,10 @@ _RESCALE_LIMIT = 1e120
 # Calls with at least this many shifts solve them as one lane batch;
 # fewer run the scalar sweep one shift at a time.
 # Measured on a 2-vCPU Xeon VM (Python 3.11.7, numpy 2.4.6): a scalar
-# shift of a double barrier costs 8.7 us and of a six-region stack
-# 14.6 us; a lane costs 2.2 and 3.9 us plus 0.4 and 0.8 ms per batch, so
-# the batch breaks even at 65 to 75 lanes.
-_LANE_BATCH_MIN = 80
+# shift of a double barrier costs 9.4 us and of a six-region stack
+# 14.4 us; a lane costs about 1 and 1.6 us plus 0.55 and 0.77 ms per
+# batch, and over repeated fits the batch breaks even at 55 to 68 lanes.
+_LANE_BATCH_MIN = 70
 
 
 def _scaled_exp(coef: complex, exponent: complex) -> complex:
@@ -201,9 +205,11 @@ def _sweep(
     """Backward sweep: unit outgoing amplitude on the right, nothing incoming.
 
     Returns each region's (forward, backward) coefficients at its left
-    edge, and the running log-scale they were divided by. Where a barrier's
-    growth would overflow the exponential, the growth is folded into the
-    log-scale before exponentiating; every other step keeps its bits.
+    edge, and the running log-scale they were divided by. Each region
+    takes one exponential, e^{-i kappa width}: the forward term is
+    multiplied by it and the backward term divided. Where that growth, or
+    its product with the forward term, leaves the float range although
+    q*width does not, the growth is folded into the log-scale first.
     Raises InvalidParameterError where a region's width, its phase
     kappa*width or the wave's growth across it leaves the float range.
     """
@@ -223,13 +229,17 @@ def _sweep(
                 # e^{-ik inf} is nan+nanj in cmath, with no error raised.
                 raise InvalidParameterError("a region's width leaves the float range")
             try:
-                amp_f = _scaled_exp(edge_f, -1j * kappas[r] * width)
-                amp_b = _scaled_exp(edge_b, 1j * kappas[r] * width)
+                grow = cmath.exp(-1j * kappas[r] * width)
+                amp_f, amp_b = edge_f * grow, edge_b / grow
+                if abs(amp_f) == math.inf and cmath.isfinite(grow):
+                    # The growth is in range, its product with edge_f is not.
+                    raise OverflowError
             except ValueError:
                 # The exponential of an infinite phase.
                 raise _phase_range_error() from None
             except OverflowError:
-                # Only the forward term grows, by e^{q width} in a barrier.
+                # Only the forward term grows, by e^{q width} in a barrier;
+                # abs raises this too where a finite product's size is not.
                 fold = kappas[r].imag * width + math.log(max(abs(edge_f), abs(edge_b)))
                 amp_f = _scaled_exp(edge_f, -1j * kappas[r] * width - fold)
                 amp_b = _scaled_exp(edge_b, 1j * kappas[r] * width - fold)
@@ -313,11 +323,12 @@ def _solution(kappas, bp: tuple[float, ...], energy: float, units: UnitsConfig):
 
 
 def _shifted_solver(potential: PiecewiseConstantPotential, region: ClockRegion, energy: float,
-                    units: UnitsConfig) -> tuple[float, Callable[[list[float]], list]]:
+                    units: UnitsConfig) -> tuple[float, Callable]:
     """The shift bound, and a function from a list of shifts of the
-    potential inside the clock region to the (T, R) of each; from
-    _LANE_BATCH_MIN shifts up as lanes. The function raises what solving
-    the first failing shift in the list raises, in either form.
+    potential inside the clock region to the (T, R) of each, row by row
+    in a complex array of shape (shifts, 2); from _LANE_BATCH_MIN shifts
+    up as lanes. The function raises what solving the first failing shift
+    in the list raises, in either form.
 
     The bound is the smallest energy margin: the energy itself and |V - E|
     of every interval inside the region, above or below E. The cut list,
@@ -340,29 +351,31 @@ def _shifted_solver(potential: PiecewiseConstantPotential, region: ClockRegion, 
         stored, logscale = _sweep(kappas, cuts)
         return _amplitudes(stored, logscale, *_end_phases(k.real, cuts))
 
-    def solver(strengths: list[float]) -> list:
+    def solver(strengths: list[float]):
         if len(strengths) < _LANE_BATCH_MIN:
-            return [shifted(strength) for strength in strengths]
+            # numpy only here, so solve and its callers run without it
+            import numpy as np
+
+            return np.array([shifted(strength) for strength in strengths], complex).reshape(-1, 2)
         return _lanes(kappas, moved, cuts, energy, units, strengths, shifted)
 
     return min([energy, *(abs(base - energy) for _, base in moved)]), solver
 
 
-def _lanes(kappas, moved, cuts, energy, units, strengths, shifted) -> list:
-    """The (T, R) of each shift; the first shift whose solve fails
-    raises, as in the scalar loop.
+def _lanes(kappas, moved, cuts, energy, units, strengths, shifted):
+    """The (T, R) of each shift as a complex array of shape (L, 2); the
+    first shift whose solve fails raises, as in the scalar loop.
 
     The L shifts run as float64 lanes through shifted's checks, sweep and
     amplitudes with CPython's scalar rules (see _arith), so every lane
     equals shifted's result bit for bit. kappas holds the wavenumbers
     outside the region, and moved the (index, unshifted height) of each
-    interval inside it. The sweep's forward and backward terms run
-    stacked in one array of 2L elements, forward first.
+    interval inside it.
 
     A lane leaves this plain path where shifted would raise or branch: a
     shifted height that is not finite or equals the energy, a wavenumber
-    that is zero or infinite, a zero divisor, an abs or exponential that
-    raises (the sweep's fold), or a peak past the rescale limit. Those
+    that is zero or infinite, a zero divisor, an exponential that raises
+    or a peak past the rescale limit (the sweep's fold or rescale). Those
     lanes go through shifted itself, in list order, so the first of them
     that raises is the first shift the scalar loop raises for. An end
     phase that raises sends every lane that way.
@@ -370,20 +383,14 @@ def _lanes(kappas, moved, cuts, energy, units, strengths, shifted) -> list:
     # numpy only here, so solve and its callers run without it
     import numpy as np
 
-    from ._arith import _cabs, _cadd, _cdiv, _cexp, _cmul, _each
+    from ._arith import _cadd, _cdiv, _cexp, _cmul
 
     lanes = len(strengths)
     shifts = np.array(strengths, dtype=float)
     bad = np.zeros(lanes, bool)
-    stacked_bad = np.zeros(2 * lanes, bool)
-
-    def stack(first, second):
-        both = np.empty(2 * lanes)
-        both[:lanes], both[lanes:] = first, second
-        return both
-
-    # numpy scalars, so a zero part divides as the arrays do
-    pairs = [(np.float64(kappa.real), np.float64(kappa.imag)) if kappa is not None else None
+    # one-element arrays, which every lane shares: the exponential of a
+    # region outside the clock region is taken once
+    pairs = [(np.array([kappa.real]), np.array([kappa.imag])) if kappa is not None else None
              for kappa in kappas]
     with np.errstate(all="ignore"):
         for r, base in moved:
@@ -395,31 +402,23 @@ def _lanes(kappas, moved, cuts, energy, units, strengths, shifted) -> list:
             propagating = ksq > 0.0
             pairs[r] = (np.where(propagating, kappa, 0.0), np.where(propagating, 0.0, kappa))
 
-        # amp holds (forward, backward) as (real, imag) parts of 2L elements.
-        amp = (stack(1.0, 0.0), np.zeros(2 * lanes))
+        # The forward and backward terms, each as (real, imag) parts.
+        amp_f, amp_b = (np.ones(lanes), np.zeros(lanes)), (np.zeros(lanes), np.zeros(lanes))
         for r in range(len(kappas) - 2, -1, -1):
             ratio = _cdiv(pairs[r + 1], pairs[r], bad)
-            ratio = (stack(ratio[0], ratio[0]), stack(ratio[1], ratio[1]))
             same = (1.0 + ratio[0], 0.0 + ratio[1])
             other = (1.0 - ratio[0], 0.0 - ratio[1])
-            swapped = tuple(np.concatenate([part[lanes:], part[:lanes]]) for part in amp)
-            edge = _cmul((0.5, 0.0), _cadd(_cmul(same, amp), _cmul(other, swapped)))
+            edge_f = _cmul((0.5, 0.0), _cadd(_cmul(same, amp_f), _cmul(other, amp_b)))
+            edge_b = _cmul((0.5, 0.0), _cadd(_cmul(other, amp_f), _cmul(same, amp_b)))
             if r >= 1:
-                # _scaled_exp(edge, -+1j * kappa * width)
+                # grow = cmath.exp(-1j * kappa * width)
                 width = (cuts[r] - cuts[r - 1], 0.0)
-                forward = _cmul(_cmul((-0.0, -1.0), pairs[r]), width)
-                backward = _cmul(_cmul((0.0, 1.0), pairs[r]), width)
-                zero = (edge[0] == 0.0) & (edge[1] == 0.0)
-                mag = np.where(zero, 1.0, _cabs(edge, stacked_bad))
-                exponent = (stack(forward[0], backward[0]) + _each(math.log, mag),
-                            stack(forward[1], backward[1]) + 0.0)
-                amp = _cmul(_cdiv(edge, (mag, 0.0), stacked_bad), _cexp(exponent, stacked_bad))
-                amp = (np.where(zero, 0.0, amp[0]), np.where(zero, 0.0, amp[1]))
+                grow = _cexp(_cmul(_cmul((-0.0, -1.0), pairs[r]), width), bad)
+                amp_f, amp_b = _cmul(edge_f, grow), _cdiv(edge_b, grow, bad)
             else:
-                amp = edge
-            size = _cabs(amp, stacked_bad)
-            bad |= ~(np.maximum(size[:lanes], size[lanes:]) <= _RESCALE_LIMIT)
-        bad |= stacked_bad[:lanes] | stacked_bad[lanes:]
+                amp_f, amp_b = edge_f, edge_b
+            # abs as hypot, which is infinite past the float range
+            bad |= ~(np.maximum(np.hypot(*amp_f), np.hypot(*amp_b)) <= _RESCALE_LIMIT)
 
         # No plain lane rescaled or folded, so every log-scale is 0 and
         # the factor of T is (1 / inc) * phase0, the same as that of R.
@@ -428,15 +427,16 @@ def _lanes(kappas, moved, cuts, energy, units, strengths, shifted) -> list:
         except InvalidParameterError:
             phase0 = phase_last = 0j
             bad[:] = True
-        inc = (amp[0][:lanes], amp[1][:lanes])
-        factor = _cmul(_cdiv((1.0, 0.0), inc, bad), (phase0.real, phase0.imag))
+        factor = _cmul(_cdiv((1.0, 0.0), amp_f, bad), (phase0.real, phase0.imag))
         trans = _cmul(_cmul((1.0, 0.0), factor), (phase_last.real, phase_last.imag))
-        refl = _cmul(_cmul((amp[0][lanes:], amp[1][lanes:]), factor), (phase0.real, phase0.imag))
+        refl = _cmul(_cmul(amp_b, factor), (phase0.real, phase0.imag))
 
-    columns = (part.tolist() for part in (*trans, *refl))
-    return [(complex(t_re, t_im), complex(r_re, r_im)) if plain else shifted(strength)
-            for strength, plain, t_re, t_im, r_re, r_im
-            in zip(strengths, (~bad).tolist(), *columns)]
+    table = np.empty((lanes, 2), complex)
+    table.real[:, 0], table.imag[:, 0] = trans
+    table.real[:, 1], table.imag[:, 1] = refl
+    for lane in np.flatnonzero(bad).tolist():
+        table[lane] = shifted(strengths[lane])
+    return table
 
 
 def _overlaps(bp: tuple[float, ...], region: ClockRegion):

@@ -134,12 +134,12 @@ def test_error_hierarchy():
 
 
 def test_a_negative_dwell_time_fails_the_residual_check():
-    # 2.8e-16 below the top of a barrier 0.2 wide the sweep's small-kappa
-    # coefficients cancel: the dwell time comes out -5.27 where a 50-digit
-    # transfer matrix gives 1.054. Taken against |t_dwell| the residual
-    # is 1.13, not -1.13, so the row is flagged.
-    thin = PiecewiseConstantPotential((1.1, 1.3), (0.018,))
-    result = clock_times(thin, ClockRegion(1.1, 1.3), 0.017999999999999995)
+    # 2.8e-16 below the top of a barrier 0.5 wide the sweep's small-kappa
+    # coefficients cancel: the dwell time comes out -10.54 where a 50-digit
+    # transfer matrix gives 2.637. Taken against |t_dwell| the residual
+    # is 3.49, not -3.49, so the row is flagged.
+    thin = PiecewiseConstantPotential((1.1, 1.6), (0.018,))
+    result = clock_times(thin, ClockRegion(1.1, 1.6), 0.017999999999999995)
     assert result.dwell < 0
     assert result.decomposition_residual > 1e-6
 

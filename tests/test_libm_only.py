@@ -1,11 +1,12 @@
-"""The closed-form array code calls no numpy transcendental or power.
+"""The array code calls no numpy transcendental or power.
 
 numpy's exp, sin and cos differ from libm's, which CPython's math module
-calls, in the last bit (see the ``_arith`` docstring). closedform and
-_arith take those per element through the math module, and square by
-the exact product x * x, so every array element equals the scalar
-arithmetic bit for bit. This test keeps it that way, also where an
-expression runs only once per call and a numpy call would look harmless.
+calls, in the last bit (see the ``_arith`` docstring). closedform,
+scattering's lanes and _arith take those per element through the math
+module, and square by the exact product x * x, so every array element
+equals the scalar arithmetic bit for bit. This test keeps it that way,
+also where an expression runs only once per call and a numpy call would
+look harmless.
 It still forbids numpy's power and square, so that each square stays the
 plain product that the frozen oracle spells out.
 """
@@ -21,7 +22,7 @@ FORBIDDEN = re.compile(
     r"(exp|expm1|exp2|log.*|sin|cos|tan|arcsin|arccos|arctan.*|sinh|cosh|tanh"
     r"|power|float_power|square)"
 )
-MODULES = ("closedform.py", "_arith.py")
+MODULES = ("closedform.py", "_arith.py", "scattering.py")
 
 
 def _numpy_transcendentals(source: str) -> list[str]:

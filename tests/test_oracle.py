@@ -29,7 +29,7 @@ from tunnelclock.potentials import (
     UnitsConfig,
     double_barrier,
 )
-from tunnelclock.scattering import dwell_time, solve
+from tunnelclock.scattering import dwell_time, overlap_integrals, solve
 
 # Relative tolerances, each ten times or more the largest error measured
 # where the output was neither flagged nor a known break, over random
@@ -375,6 +375,33 @@ def test_perturbed_amplitude_meets_the_reference(v0, a, d, fraction, shift):
 def test_rotor_levels_meet_the_contract(case, fractions):
     for errors, flagged, excused in level_verdicts(case, fractions):
         assert _breaks(errors, flagged) <= excused
+
+
+# Deep shadow: a tiny coefficient against a large exponent, where the
+# sweep's growth across a barrier dwarfs what is left of the wave. Double
+# barriers whose |T|^2 reaches 1e-415; 100 barriers of width 5 between
+# free gaps of width 5; and a barrier whose growth e^{q width} = 1.7e308
+# is in range but its product with the forward term is not, so the sweep
+# folds it into the log-scale.
+DEEP_SHADOW = [
+    *(pytest.param(double_barrier(0.018, a, 10.0), 0.01, id=f"double-barrier-a{a:g}")
+      for a in (60.0, 300.0, 1000.0, 1500.0, 1900.0)),
+    pytest.param(PiecewiseConstantPotential(tuple(5.0 * i for i in range(201)), (0.03, 0.0) * 100),
+                 0.01, id="stack-200"),
+    pytest.param(PiecewiseConstantPotential((0.0, 1587.0), (1.0,)), 0.9, id="fold"),
+]
+
+
+@pytest.mark.parametrize("potential, energy", DEEP_SHADOW)
+def test_deep_shadow_meets_the_reference(potential, energy):
+    region = ClockRegion(*potential.support)
+    psi = solve(potential, energy)
+    ref = oracle.reference(potential.breakpoints, potential.heights, energy, region.z1, region.z2)
+    with mp.workdps(oracle.DIGITS):
+        density = mp.fsum(ref.density)
+    assert relative_error(psi.transmission, ref.transmission) <= SOLVE_TOLERANCE
+    assert relative_error(psi.reflection, ref.reflection) <= SOLVE_TOLERANCE
+    assert relative_error(overlap_integrals(psi, region)[0], density) <= TIME_TOLERANCE
 
 
 def _generic(potential, energy, z1, z2):

@@ -4,6 +4,7 @@ import bisect
 import cmath
 import math
 import random
+import types
 import warnings
 
 import numpy as np
@@ -248,6 +249,35 @@ def test_phase_and_growth_beyond_float_range_rejected():
     # a finite width whose phase kappa*width overflows inside the sweep
     with pytest.raises(InvalidParameterError, match="^a phase k\\*z leaves the float range$"):
         solve(PiecewiseConstantPotential((0.0, 1e300), (0.0,)), 1e300)
+
+
+def _counting(monkeypatch, module, name):
+    """Replace scattering's module by a copy whose function name counts
+    its calls in the returned list."""
+    calls = []
+    function = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return function(*args)
+
+    monkeypatch.setattr(scattering, module.__name__,
+                        types.SimpleNamespace(**{**vars(module), name: counted}))
+    return calls
+
+
+@pytest.mark.parametrize("potential", [
+    double_barrier(0.018, 10.0, 10.0),
+    PiecewiseConstantPotential(tuple(5.0 * i for i in range(201)), (0.03, 0.0) * 100),
+], ids=["double-barrier", "stack-200"])
+def test_a_region_step_takes_one_exponential(monkeypatch, potential):
+    # e^{-i kappa width} once per region, for both terms, and e^{ik z_0}
+    # and e^{-ik z_n}; no log where the sweep neither folds nor rescales
+    exps = _counting(monkeypatch, cmath, "exp")
+    logs = _counting(monkeypatch, math, "log")
+    sol = solve(potential, 0.01)
+    assert len(exps) == len(potential.heights) + 2
+    assert logs == [] and max(sol.logscale) == 0.0
 
 
 @st.composite

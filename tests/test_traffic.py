@@ -27,12 +27,12 @@ TRAFFIC_SHA256 = {
     ("sweep-closedform", 1): "f888827b33ebddfeba4345d8483378b98586f2266d5c07f73ade3742a9200147",
     ("sweep-closedform", 2): "a52f508885ba668b466d5938e743ab12bc19e472860046f479212b10e4d6470b",
     ("sweep-closedform", 3): "7d8a9032042146f40343907db47e59739f3d03bf69f5104258315cb661a04341",
-    ("stack-generic", 1): "129a36dd18033dd22caeeff306d913bb9c976d5e686bf98f75153cd614bbdd9d",
-    ("stack-generic", 2): "8be828b1fa03812025613f007a6aedab91d6bd586095244b3377d71a4716724d",
-    ("stack-generic", 3): "66400e9acf29ec2a5d9ddcfa70e4d17dfa93c448ab2171c26e24aeaaea4a5f0e",
-    ("rotor-clocksim", 1): "8efc91b910437d20468b4d24b665e75f56aa3d4c769bede303544c1cd7e3c60a",
-    ("rotor-clocksim", 2): "a50179d340fc3f573dcdd7e35a3b53cccec1e480e39f9cfcf1bd86e1831c13b4",
-    ("rotor-clocksim", 3): "2d1450278f6807d5b71d8131ae13a07dcd8b68da7ccb112cf2b6d614b258e8e7",
+    ("stack-generic", 1): "6624a7da539f88d67b44a0f81e078c5758e44a0378273b10aad7d104f870c434",
+    ("stack-generic", 2): "4a805aa9ac2b676acea43f7cc1aeefcb35144f19e67151be71eafc666ce42bae",
+    ("stack-generic", 3): "a054a3130de738a1f0375df1f53f7e464d50a64b6a1012177e5ef15b9374e822",
+    ("rotor-clocksim", 1): "f3436da6363c211fd61c0ec40e4df14e2c66a2a4fa0301dfb22c991279177ef2",
+    ("rotor-clocksim", 2): "59fc16680a434c99990240886d3269aa583520db82c32b93453ea81060f52c3b",
+    ("rotor-clocksim", 3): "df0a030a222cfdedd41f2b74848004df9db94031c69dffe4a35ad1b5481159dd",
 }
 
 
